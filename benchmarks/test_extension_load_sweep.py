@@ -2,8 +2,9 @@
 
 The paper reports one-in-flight ping-pong latency only; it never drives
 either stack past its knee. This bench uses the workload engine's
-open-loop generator to sweep Poisson offered load across multiples of
-each driver's measured base rate and checks the queueing-theoretic
+open-loop generator, through the cell engine, to sweep Poisson offered
+load across the default multiples (0.25x-8x) of each driver's measured
+base rate and checks the queueing-theoretic
 shape of the response:
 
 * below the base rate the system keeps up (achieved ~ offered) and
@@ -17,9 +18,7 @@ shape of the response:
 import pytest
 
 from benchmarks.conftest import attach_table
-from repro.workload import run_driver_load_sweep
-
-MULTIPLIERS = (0.25, 0.5, 1.0, 4.0, 8.0)
+from repro.exec import execute_load_sweep
 
 
 @pytest.mark.benchmark(group="extensions")
@@ -27,12 +26,8 @@ def test_extension_load_sweep(benchmark, packets):
     count = max(120, min(packets, 300))
 
     def regenerate():
-        return {
-            driver: run_driver_load_sweep(
-                driver, seed=0, packets=count, multipliers=MULTIPLIERS
-            )
-            for driver in ("virtio", "xdma")
-        }
+        sweeps, _ = execute_load_sweep(drivers=("virtio", "xdma"), packets=count, seed=0)
+        return sweeps
 
     sweeps = benchmark.pedantic(regenerate, rounds=1, iterations=1)
 

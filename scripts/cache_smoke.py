@@ -48,7 +48,7 @@ def run_pass(cache_dir: str) -> tuple[float, list[str], dict]:
     counters are summed across the pass's commands here.
     """
     outputs = []
-    totals = {"hits": 0, "misses": 0, "stores": 0, "boot_reuses": 0}
+    totals = {"hits": 0, "misses": 0, "stores": 0}
     started = time.perf_counter()
     for argv in COMMANDS:
         buffer = io.StringIO()

@@ -52,8 +52,9 @@ or virtio-mmio transport, with a trap-time column in the breakdown::
     virtio-fpga-repro guestsweep --modes bare vhost --payloads 64 1024 -j 4
     virtio-fpga-repro guestsweep --transport mmio --packets 200
 
-``--jobs/-j`` fans any artifact out over a process pool (bit-identical
-output for any worker count), and ``bench`` records the serial vs
+Every artifact runs through the cell engine; ``--jobs/-j`` fans it out
+over a process pool (bit-identical output for any worker count, and an
+unset ``--jobs`` is ``-j 1``), and ``bench`` records the serial vs
 parallel perf trajectory::
 
     virtio-fpga-repro table1 --packets 50000 -j 8
@@ -70,7 +71,7 @@ on the committed baseline's workload and exits 1 on regression::
 (kind, spec, seed, code fingerprint) already have a stored outcome are
 served from disk, so a warm rerun of an unchanged tree is near-free
 and byte-identical to the cold run.  Every ``--json`` report then
-carries a ``cache_stats`` section (hits/misses/bytes/boot-reuses)::
+carries a ``cache_stats`` section (hits/misses/stores/bytes)::
 
     virtio-fpga-repro table1 --cache --json        # cold: populates
     virtio-fpga-repro table1 --cache --json        # warm: all hits
@@ -126,6 +127,17 @@ ARTIFACTS = {
 JSON_ARTIFACTS = tuple(name for name, has_json in ARTIFACTS.items() if has_json)
 
 
+def _jobs(text: str) -> int:
+    """``--jobs`` value: a worker count of at least 1."""
+    try:
+        jobs = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if jobs < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {jobs}")
+    return jobs
+
+
 def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="virtio-fpga-repro",
@@ -159,12 +171,12 @@ def _parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--jobs",
         "-j",
-        type=int,
+        type=_jobs,
         default=None,
         metavar="N",
-        help="fan the run out over N worker processes via the parallel "
-        "execution engine (output is bit-identical for any N; default: "
-        "the original serial path; bench default: all CPUs)",
+        help="fan the run out over N worker processes (output is "
+        "bit-identical for any N; default: 1, in-process; bench default: "
+        "all CPUs)",
     )
     parser.add_argument(
         "--payloads",
@@ -415,8 +427,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         parser.error("--multipliers values must be positive")
     if args.fault_rate is not None and not 0.0 <= args.fault_rate <= 1.0:
         parser.error("--fault-rate must be a probability in [0, 1]")
-    if args.jobs is not None and args.jobs < 1:
-        parser.error("--jobs must be >= 1")
     if args.pods < 1:
         parser.error("--pods must be >= 1")
     if args.tenants < 1:
@@ -438,23 +448,11 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     from repro.exec import cache as result_cache
 
-    cache = result_cache.configure(
+    result_cache.configure(
         enabled=(args.cache or env.result_cache()) and not args.no_cache,
         cache_dir=args.cache_dir,
     )
-    if (
-        cache is not None
-        and args.jobs is None
-        and args.artifact not in ("fleetsweep", "guestsweep", "bench")
-    ):
-        # With --jobs unset these artifacts take the legacy serial
-        # path, which never enters the cell engine -- the cache would
-        # sit idle.  Say so instead of silently reporting zero hits.
-        print(
-            f"note: the result cache only covers cell-engine runs; "
-            f"pass -j (e.g. -j 1) to cache {args.artifact!r} cells",
-            file=sys.stderr,
-        )
+    jobs = args.jobs or 1
 
     started = time.time()
     if args.artifact == "bench" and args.check:
@@ -488,7 +486,7 @@ def main(argv: Optional[List[str]] = None) -> int:
 
         from repro.exec.bench import render_bench, run_bench
 
-        jobs = args.jobs if args.jobs is not None else (os.cpu_count() or 2)
+        jobs = args.jobs or os.cpu_count() or 2
         if jobs < 2:
             parser.error("bench compares serial vs parallel; use --jobs >= 2")
         packets = args.packets if args.packets is not None else default_packets()
@@ -515,7 +513,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             outstanding=args.outstanding,
             arrival=args.distribution,
             payload_sizes=payloads,
-            jobs=args.jobs,
+            jobs=jobs,
         )
         if args.json:
             _emit_json(
@@ -553,7 +551,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             rates = tuple(args.fault_rates) if args.fault_rates else DEFAULT_FAULT_RATES
             result, text = run_fault_sweep(
                 rates=rates, payload=payload, packets=packets, seed=args.seed,
-                jobs=args.jobs,
+                jobs=jobs,
             )
         if args.json:
             _emit_json(
@@ -576,7 +574,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         )
 
         payloads = args.payloads if args.payloads is not None else [64]
-        jobs = args.jobs if args.jobs is not None else 1
         if args.soak:
             packets = args.packets if args.packets is not None else default_packets(300)
             fault_rate = args.fault_rate if args.fault_rate is not None else 0.02
@@ -639,7 +636,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             payload=payload,
             vfs_per_device=args.vfs,
             arbiter=args.arbiter,
-            jobs=args.jobs if args.jobs is not None else 1,
+            jobs=jobs,
         )
         if args.json:
             _emit_json(result.as_dict())
@@ -670,7 +667,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             seed=args.seed,
             modes=modes,
             transport=args.transport,
-            jobs=args.jobs if args.jobs is not None else 1,
+            jobs=jobs,
         )
         if args.json:
             _emit_json(report.as_dict())
@@ -686,7 +683,7 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     packets = args.packets if args.packets is not None else default_packets()
     payloads = args.payloads if args.payloads is not None else list(PAPER_PAYLOAD_SIZES)
-    kwargs = dict(payload_sizes=payloads, packets=packets, seed=args.seed, jobs=args.jobs)
+    kwargs = dict(payload_sizes=payloads, packets=packets, seed=args.seed, jobs=jobs)
 
     if args.artifact == "fig3":
         comparison, text = figure3(**kwargs)

@@ -1,13 +1,15 @@
 """One validated reader for every ``REPRO_*`` environment knob.
 
-The knobs accumulated across subsystems (packet-count override, event
-scheduler backend, RNG sampling path, buffer-pool debug mode, guest
-mode default), each with its own parsing and its own failure behavior
+The knobs accumulated across subsystems (packet-count override, RNG
+sampling path, buffer-pool debug mode, guest mode default, result
+cache), each with its own parsing and its own failure behavior
 -- a typo in one silently fell back to the default while a typo in
 another raised.  This module is the single source of truth: every knob
 is declared here with its accepted values, every reader validates, and
 an unknown value always raises :class:`EnvError` naming the variable,
-the offending value, and what would have been accepted.
+the offending value, and what would have been accepted.  ``REPRO_*``
+names that are not declared here -- including retired knobs that old
+scripts may still export -- are ignored, never rejected.
 
 The reference table lives in ``docs/architecture.md`` ("Environment
 knobs"); keep the two in sync.
@@ -18,9 +20,6 @@ Knobs
 ``REPRO_PACKETS``
     Positive integer: packets per payload size / load point, overriding
     artifact defaults (the paper used 50000).
-``REPRO_SIM_SCHEDULER``
-    ``calendar`` (default) or ``heap``: the event-queue backend.  Both
-    pop in the same total order, so results never change.
 ``REPRO_SIM_SCALAR_RNG``
     Flag: force the legacy per-draw scalar sampling path instead of
     block sampling (same draw sequence, slower; a determinism
@@ -39,10 +38,6 @@ Knobs
     Directory path for the result cache (default ``.repro-cache``; the
     CLI's ``--cache-dir`` overrides it).  A path that exists but is
     not a directory is an error.
-``REPRO_SNAPSHOT_BOOT``
-    ``1`` (default) or ``0``: reuse pristine boot snapshots via
-    fork/copy-on-write stamping when a cell's (spec, seed, profile)
-    repeats in a process.  ``0`` boots every cell cold.
 
 Flags accept ``1`` (on) and ``0`` / unset / empty (off); anything else
 is an error rather than a guess.
@@ -63,13 +58,11 @@ class EnvError(ValueError):
 #: map is what :func:`check_environment` sweeps).
 KNOWN_KNOBS = {
     "REPRO_PACKETS": "a positive integer",
-    "REPRO_SIM_SCHEDULER": "'calendar' or 'heap'",
     "REPRO_SIM_SCALAR_RNG": "'1' or '0'",
     "REPRO_BUFPOOL_DEBUG": "'1' or '0'",
     "REPRO_GUEST_MODE": "'bare', 'trapped', or 'vhost'",
     "REPRO_CACHE": "'1' or '0'",
     "REPRO_CACHE_DIR": "a directory path (created if missing)",
-    "REPRO_SNAPSHOT_BOOT": "'1' (default) or '0'",
 }
 
 
@@ -115,11 +108,6 @@ def packets(fallback: Optional[int] = None) -> Optional[int]:
     return count
 
 
-def scheduler() -> str:
-    """``REPRO_SIM_SCHEDULER``, defaulting to ``calendar``."""
-    return _choice("REPRO_SIM_SCHEDULER", ("calendar", "heap")) or "calendar"
-
-
 def scalar_rng() -> bool:
     """``REPRO_SIM_SCALAR_RNG``: force per-draw scalar sampling."""
     return _flag("REPRO_SIM_SCALAR_RNG")
@@ -153,27 +141,12 @@ def cache_dir() -> Optional[str]:
     return value
 
 
-def snapshot_boot() -> bool:
-    """``REPRO_SNAPSHOT_BOOT``: boot-snapshot reuse (default on)."""
-    value = _raw("REPRO_SNAPSHOT_BOOT")
-    if value in ("", "1"):
-        return True
-    if value == "0":
-        return False
-    raise EnvError(
-        f"REPRO_SNAPSHOT_BOOT must be {KNOWN_KNOBS['REPRO_SNAPSHOT_BOOT']}, "
-        f"got {value!r}"
-    )
-
-
 def check_environment() -> None:
     """Validate every set knob at once (CLI startup hook): one clear
     error up front instead of a late failure deep inside a worker."""
     packets()
-    scheduler()
     scalar_rng()
     bufpool_debug()
     guest_mode()
     result_cache()
     cache_dir()
-    snapshot_boot()

@@ -9,14 +9,12 @@ and merge back into the existing result types in deterministic cell
 order, so a run's output is bit-identical for a given root seed
 regardless of worker count or completion order.
 
-Two caching layers make re-runs near-free: the content-addressed
-result cache (:mod:`repro.exec.cache`) returns unchanged cells from
-disk, and snapshot boot reuse (:mod:`repro.exec.snapshot`) stamps
-repeated same-boot cells off one pristine fork/copy-on-write image.
+Every artifact runs through this engine (``jobs=1`` in-process by
+default).  The content-addressed result cache (:mod:`repro.exec.cache`)
+makes re-runs near-free by returning unchanged cells from disk.
 
-See ``docs/architecture.md`` ("Parallel execution" and "Result cache &
-snapshot boot reuse") for the design notes and the seed-derivation
-argument.
+See ``docs/architecture.md`` ("Parallel execution" and "Result cache")
+for the design notes and the seed-derivation argument.
 """
 
 from repro.exec.cache import (

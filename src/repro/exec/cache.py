@@ -78,7 +78,6 @@ COMMON_MODULES: Tuple[str, ...] = (
     "virtio",
     "exec/cells.py",
     "exec/runner.py",
-    "exec/snapshot.py",
 )
 
 #: Kind -> additional source prefixes that kind's measurement reads.
@@ -192,12 +191,6 @@ def canonical(value: Any) -> Any:
             out[field.name] = canonical(getattr(value, field.name))
         return out
     return {"__repr__": f"{type(value).__qualname__}:{value!r}"}
-
-
-def spec_digest(value: Any) -> str:
-    """Short stable digest of any canonicalizable value (snapshot keys)."""
-    material = json.dumps(canonical(value), sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(material.encode("utf-8")).hexdigest()[:16]
 
 
 # -- the store -----------------------------------------------------------------
@@ -342,16 +335,9 @@ def bypass() -> Iterator[None]:
 
 
 def cache_stats() -> Optional[Dict[str, Any]]:
-    """The active cache's counters as a JSON-ready dict, or ``None``.
-
-    ``boot_reuses`` comes from the snapshot layer's parent-side
-    aggregation, so it covers reuses performed inside pool workers.
-    """
-    from repro.exec import snapshot
-
+    """The active cache's counters as a JSON-ready dict, or ``None``."""
     if _ACTIVE is None:
         return None
     stats = _ACTIVE.stats.as_dict()
-    stats["boot_reuses"] = snapshot.parent_boot_reuses()
     stats["dir"] = _ACTIVE.root
     return stats

@@ -12,22 +12,16 @@ output byte-identical across ``jobs=1``, ``jobs=2``, ``jobs=4``.
 
 ``jobs=1`` runs the same cells in-process (no pool), so it doubles as
 the bit-exact reference for the pool path and keeps single-core runs
-free of fork/pickle overhead.
+free of fork/pickle overhead.  It is also the default: every artifact
+runs through this engine, so there is one execution path per artifact.
 
-Two caching layers sit in front of execution (both preserve the
-byte-identity guarantee):
-
-* the content-addressed **result cache** (:mod:`repro.exec.cache`,
-  when activated via ``--cache``/``REPRO_CACHE``): ``run_cells``
-  consults it per cell before fanning out, runs only the misses, and
-  merges hits + fresh results back in cell construction order -- the
-  output is byte-identical for any ``jobs`` and any hit/miss mix;
-* **snapshot boot reuse** (:mod:`repro.exec.snapshot`, default on):
-  ``execute_cell`` splits every kind into a pure *boot* (testbed
-  construction from (spec, seed, profile)) and a *measure* closure
-  (fault-plan attachment, overload bounds, the workload), and the
-  snapshot layer stamps repeated same-boot cells off one pristine
-  copy-on-write image instead of re-booting.
+Each cell kind boots its testbed from ``(spec, seed, profile)`` and
+measures it in one function.  The content-addressed **result cache**
+(:mod:`repro.exec.cache`, when activated via ``--cache``/``REPRO_CACHE``)
+sits in front of execution: ``run_cells`` consults it per cell before
+fanning out, runs only the misses, and merges hits + fresh results back
+in cell construction order -- the output is byte-identical for any
+``jobs`` and any hit/miss mix.
 """
 
 from __future__ import annotations
@@ -47,7 +41,6 @@ from repro.core.latency import run_virtio_payload, run_xdma_payload
 from repro.core.results import ComparisonResult, SweepResult
 from repro.core.testbed import build_virtio_testbed, build_xdma_testbed
 from repro.exec import cache as result_cache
-from repro.exec import snapshot
 from repro.exec.cells import (
     Cell,
     calibration_cells,
@@ -79,7 +72,6 @@ class CellOutcome:
     events: int  # simulator events the cell executed (perf accounting)
     wall_s: float  # worker-side wall clock for the cell
     cached: bool = False  # served from the result cache, not executed
-    boot_reused: bool = False  # measured off a pristine boot snapshot
 
 
 @dataclass
@@ -92,7 +84,6 @@ class ExecutionStats:
     wall_s: float  # end-to-end wall clock of the fan-out
     cell_wall_s: float  # sum of per-cell worker wall clocks
     cache_hits: int = 0  # cells served from the result cache
-    boot_reuses: int = 0  # cells stamped from a boot snapshot
 
     @property
     def events_per_second(self) -> float:
@@ -104,7 +95,7 @@ def _builder(driver: str):
         return build_virtio_testbed
     if driver == "xdma":
         return build_xdma_testbed
-    raise ExecutionError(f"unknown driver {driver!r} (expected 'virtio' or 'xdma')")
+    raise ValueError(f"unknown driver {driver!r} (expected 'virtio' or 'xdma')")
 
 
 def _make_sizes(payload_sizes: Sequence[int]):
@@ -132,19 +123,38 @@ def execute_cell(cell: Cell) -> CellOutcome:
         gc.disable()
     switch_interval = sys.getswitchinterval()
     sys.setswitchinterval(0.1)
+    started = time.perf_counter()
     try:
-        return _execute_cell(cell)
+        value, events = _run_cell(cell)
+        return CellOutcome(
+            cell=cell,
+            value=value,
+            events=events,
+            wall_s=time.perf_counter() - started,
+        )
     finally:
         sys.setswitchinterval(switch_interval)
         if gc_was_enabled:
             gc.enable()
 
 
-def _measure_cell(cell: Cell, testbed: Any) -> Tuple[Any, int]:
-    """Everything a single-driver cell does after boot: attach plans,
-    apply bounds, run the workload.  Runs either directly on a fresh
-    testbed (cold path) or inside a snapshot fork (stamped path), so it
-    must never rely on parent-process side effects."""
+def _run_cell(cell: Cell) -> Tuple[Any, int]:
+    """Boot the cell's testbed, then measure it; returns (value, events).
+
+    Single-driver kinds boot through the legacy builders and then
+    attach plans, apply bounds and run the workload.  Fleet and guest
+    cells boot through the topology builder inside their own worker
+    bodies.
+    """
+    if cell.kind == "fleet":
+        from repro.topology.experiments import execute_fleet_cell
+
+        return execute_fleet_cell(cell)
+    if cell.kind == "guest":
+        from repro.guest.experiments import execute_guest_cell
+
+        return execute_guest_cell(cell)
+    testbed = _builder(cell.driver)(seed=cell.seed, profile=cell.profile)
     if cell.kind == "latency":
         runner = run_virtio_payload if cell.driver == "virtio" else run_xdma_payload
         value: Any = runner(testbed, cell.payload, cell.packets)
@@ -225,56 +235,6 @@ def _measure_cell(cell: Cell, testbed: Any) -> Tuple[Any, int]:
     else:
         raise ExecutionError(f"unknown cell kind {cell.kind!r}")
     return value, testbed.sim.events_executed
-
-
-def _cell_plan(cell: Cell):
-    """``(snap_key, boot, measure)`` for any cell kind.
-
-    ``boot`` is the pure testbed construction -- everything the
-    snapshot key identifies -- and ``measure`` everything after it.
-    Cells that share a key (e.g. every fault rate of one (driver,
-    payload) column, which deliberately shares the latency cell's
-    seed) boot identical machines, so the snapshot layer may measure
-    all of them off one pristine image.
-    """
-    if cell.kind == "fleet":
-        # Fleet cells boot their own multi-device testbed from the spec
-        # riding the cell, so they never touch the legacy builders.
-        from repro.topology.experiments import fleet_cell_plan
-
-        return fleet_cell_plan(cell)
-    if cell.kind == "guest":
-        # Guest cells boot through the topology builder (the GuestSpec
-        # decides whether a VMM interposes), not the legacy builders.
-        from repro.guest.experiments import guest_cell_plan
-
-        return guest_cell_plan(cell)
-    builder = _builder(cell.driver)
-    key = (
-        f"single:{cell.driver}:{cell.seed:#x}:"
-        f"{result_cache.spec_digest(cell.profile)}"
-    )
-
-    def boot() -> Any:
-        return builder(seed=cell.seed, profile=cell.profile)
-
-    def measure(testbed: Any) -> Tuple[Any, int]:
-        return _measure_cell(cell, testbed)
-
-    return key, boot, measure
-
-
-def _execute_cell(cell: Cell) -> CellOutcome:
-    started = time.perf_counter()
-    key, boot, measure = _cell_plan(cell)
-    (value, events), boot_reused = snapshot.execute(key, boot, measure)
-    return CellOutcome(
-        cell=cell,
-        value=value,
-        events=events,
-        wall_s=time.perf_counter() - started,
-        boot_reused=boot_reused,
-    )
 
 
 def _pool_context():
@@ -373,9 +333,6 @@ def run_cells(cells: Sequence[Cell], jobs: int = 1) -> List[CellOutcome]:
         for i, outcome in zip(miss_at, fresh):
             cache.put(cells[i], outcome)
             outcomes[i] = outcome
-    # Fold worker-side boot reuses (riding the outcome flags) into the
-    # parent-side counter cache_stats() reports.
-    snapshot.note_parent_reuses(sum(1 for o in outcomes if o.boot_reused))
     return outcomes
 
 
@@ -387,7 +344,6 @@ def _stats(outcomes: Sequence[CellOutcome], jobs: int, wall_s: float) -> Executi
         wall_s=wall_s,
         cell_wall_s=sum(o.wall_s for o in outcomes),
         cache_hits=sum(1 for o in outcomes if o.cached),
-        boot_reuses=sum(1 for o in outcomes if o.boot_reused),
     )
 
 

@@ -175,17 +175,14 @@ def run_guest_xdma_payload(
 # -- cell worker --------------------------------------------------------------------
 
 
-def guest_cell_plan(cell: Cell):
-    """``(snap_key, boot, measure)`` for a ``kind="guest"`` cell.
+def execute_guest_cell(cell: Cell) -> Tuple[Tuple[PayloadResult, Dict[str, Any]], int]:
+    """Worker body for ``kind="guest"`` cells.
 
-    ``boot`` builds through the topology builder (the GuestSpec decides
-    whether and how a VMM interposes); ``measure`` runs the trap-
-    accounted ping-pong and collects the VMM counters.  The key covers
-    the mode and transport -- a bare boot and a trapped boot are
-    different machines even at the same seed.
+    Boots through the topology builder (the GuestSpec decides whether
+    and how a VMM interposes), then runs the trap-accounted ping-pong.
+    Returns ``((payload result, VMM counters), events)``.  The counters
+    are cumulative over the cell (boot + measurement), empty for bare.
     """
-    from repro.exec.cache import spec_digest
-
     guest = GuestSpec(mode=cell.guest_mode or "bare", transport=cell.guest_transport)
     if cell.driver == "virtio":
         spec = TopologySpec.single_virtio(guest)
@@ -195,33 +192,10 @@ def guest_cell_plan(cell: Cell):
         runner = run_guest_xdma_payload
     else:
         raise ValueError(f"unknown guest-cell driver {cell.driver!r}")
-    key = (
-        f"guest:{cell.driver}:{guest.mode}:{guest.transport}:"
-        f"{cell.seed:#x}:{spec_digest(cell.profile)}"
-    )
-
-    def boot():
-        return build_from_spec(spec, seed=cell.seed, profile=cell.profile)
-
-    def measure(testbed) -> Tuple[Tuple[PayloadResult, Dict[str, Any]], int]:
-        result = runner(testbed, cell.payload, cell.packets)
-        stats = dict(testbed.vmm.stats) if testbed.vmm is not None else {}
-        return (result, stats), testbed.sim.events_executed
-
-    return key, boot, measure
-
-
-def execute_guest_cell(cell: Cell) -> Tuple[Tuple[PayloadResult, Dict[str, Any]], int]:
-    """Worker body for ``kind="guest"`` cells.
-
-    Returns ``((payload result, VMM counters), events)``.  The counters
-    are cumulative over the cell (boot + measurement), empty for bare.
-    """
-    from repro.exec import snapshot
-
-    key, boot, measure = guest_cell_plan(cell)
-    (value, events), _ = snapshot.execute(key, boot, measure)
-    return value, events
+    testbed = build_from_spec(spec, seed=cell.seed, profile=cell.profile)
+    result = runner(testbed, cell.payload, cell.packets)
+    stats = dict(testbed.vmm.stats) if testbed.vmm is not None else {}
+    return (result, stats), testbed.sim.events_executed
 
 
 # -- the sweep ----------------------------------------------------------------------

@@ -290,8 +290,8 @@ def run_fleet_pod(
 
     Pure function of its arguments (fresh simulator from *seed*), so
     pods can run on any process-pool worker in any order.  Pass a
-    pre-booted *testbed* (same spec, seed, profile) to skip the boot --
-    the snapshot layer uses this to stamp cells from a pristine image.
+    pre-booted *testbed* (same spec, seed, profile) to skip the boot,
+    e.g. to time the boot apart from the measurement.
     """
     from repro.drivers.virtio_net import tx_queue_index
 
@@ -500,45 +500,18 @@ def fleet_cells(
     ]
 
 
-def fleet_cell_plan(cell: Cell):
-    """``(snap_key, boot, measure)`` for a ``kind="fleet"`` cell.
-
-    ``boot`` is the pure :func:`build_fleet` of the pod's spec;
-    ``measure`` drives the tenants on a booted testbed.  The snapshot
-    key covers everything the boot reads: the fleet config (which
-    defines the spec), the cell seed, and the profile.
-    """
-    from repro.exec.cache import spec_digest
-
-    config = cell.fleet if isinstance(cell.fleet, FleetConfig) else FleetConfig()
-    key = (
-        f"fleet:{spec_digest(config)}:{cell.seed:#x}:{spec_digest(cell.profile)}"
-    )
-
-    def boot() -> FleetTestbed:
-        return build_fleet(config.spec(), seed=cell.seed, profile=cell.profile)
-
-    def measure(testbed: FleetTestbed) -> Tuple[FleetPodReport, int]:
-        report = run_fleet_pod(
-            pod=cell.pod or 0,
-            seed=cell.seed,
-            packets=cell.packets,
-            config=config,
-            profile=cell.profile,
-            testbed=testbed,
-        )
-        return report, report.events
-
-    return key, boot, measure
-
-
 def execute_fleet_cell(cell: Cell) -> Tuple[FleetPodReport, int]:
-    """Worker body for ``kind="fleet"`` cells; returns (report, events)."""
-    from repro.exec import snapshot
-
-    key, boot, measure = fleet_cell_plan(cell)
-    (report, events), _ = snapshot.execute(key, boot, measure)
-    return report, events
+    """Worker body for ``kind="fleet"`` cells: boot the pod's spec and
+    drive its tenants; returns (report, events)."""
+    config = cell.fleet if isinstance(cell.fleet, FleetConfig) else FleetConfig()
+    report = run_fleet_pod(
+        pod=cell.pod or 0,
+        seed=cell.seed,
+        packets=cell.packets,
+        config=config,
+        profile=cell.profile,
+    )
+    return report, report.events
 
 
 def run_fleet_sweep(

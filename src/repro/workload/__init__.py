@@ -43,9 +43,6 @@ from repro.workload.sweep import (
     ClosedSweepResult,
     LoadPoint,
     LoadSweepResult,
-    estimate_base_rate,
-    run_driver_closed_sweep,
-    run_driver_load_sweep,
 )
 
 __all__ = [
@@ -65,9 +62,6 @@ __all__ = [
     "SizeDistribution",
     "UniformSize",
     "WorkloadError",
-    "estimate_base_rate",
     "make_arrivals",
     "make_sizes",
-    "run_driver_closed_sweep",
-    "run_driver_load_sweep",
 ]

@@ -1,7 +1,6 @@
 """The content-addressed result cache: parity, invalidation, robustness.
 
-The contract under test (docs/architecture.md, "Result cache &
-snapshot boot reuse"):
+The contract under test (docs/architecture.md, "Result cache"):
 
 * a warm rerun of an unchanged command is byte-identical to the cold
   run, for any ``--jobs`` and any hit/miss mix;
@@ -230,9 +229,9 @@ class TestCanonical:
         assert form["kind"] == "latency" and form["payload"] == 64
 
     def test_float_exactness(self):
-        a = result_cache.spec_digest({"rate": 0.1})
-        b = result_cache.spec_digest({"rate": 0.1 + 2**-54})
-        assert a != b
+        a = result_cache.canonical({"rate": 0.1})
+        b = result_cache.canonical({"rate": 0.1 + 2**-54})
+        assert json.dumps(a) != json.dumps(b)
 
     def test_equal_fields_different_types_do_not_collide(self):
         @dataclasses.dataclass
@@ -243,4 +242,4 @@ class TestCanonical:
         class B:
             x: int = 1
 
-        assert result_cache.spec_digest(A()) != result_cache.spec_digest(B())
+        assert result_cache.canonical(A()) != result_cache.canonical(B())

@@ -48,15 +48,13 @@ class TestComparisonParity:
             f"jobs={jobs} changed the Table I artifact"
         )
 
-    def test_engine_differs_from_legacy_serial_only_by_seeding(self):
-        """The legacy serial path (shared testbed across payloads) stays
-        available as the reference when jobs is None."""
-        serial = run_comparison(payload_sizes=(64,), packets=40, seed=SEED)
-        engine = run_comparison(payload_sizes=(64,), packets=40, seed=SEED, jobs=1)
-        # Same experiment shape, same packet counts...
-        assert serial.virtio[64].packets == engine.virtio[64].packets
-        # ...but independent per-cell streams (different draws).
-        assert (serial.virtio[64].rtt_ps != engine.virtio[64].rtt_ps).any()
+    def test_default_jobs_is_the_engine_path(self, reference_rows):
+        """Leaving ``jobs`` unset takes the one execution path: the
+        same cells, the same bytes as ``jobs=1`` and ``jobs=2``."""
+        default = run_comparison(payload_sizes=PAYLOADS, packets=PACKETS, seed=SEED)
+        two = run_comparison(payload_sizes=PAYLOADS, packets=PACKETS, seed=SEED, jobs=2)
+        assert json.dumps(default.table1_rows()) == json.dumps(reference_rows)
+        assert json.dumps(two.table1_rows()) == json.dumps(reference_rows)
 
 
 class TestClaimsInParallelMode:

@@ -28,22 +28,6 @@ class TestPackets:
             env.packets(500)
 
 
-class TestScheduler:
-    def test_default_is_calendar(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SIM_SCHEDULER", raising=False)
-        assert env.scheduler() == "calendar"
-
-    @pytest.mark.parametrize("backend", ["calendar", "heap"])
-    def test_valid_backends(self, monkeypatch, backend):
-        monkeypatch.setenv("REPRO_SIM_SCHEDULER", backend)
-        assert env.scheduler() == backend
-
-    def test_unknown_backend_rejected(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SIM_SCHEDULER", "fifo")
-        with pytest.raises(env.EnvError, match="'calendar' or 'heap'.*'fifo'"):
-            env.scheduler()
-
-
 class TestFlags:
     @pytest.mark.parametrize("reader,name", [
         (env.scalar_rng, "REPRO_SIM_SCALAR_RNG"),
@@ -116,22 +100,24 @@ class TestCacheKnobs:
         with pytest.raises(env.EnvError, match="REPRO_CACHE_DIR"):
             env.cache_dir()
 
-    def test_snapshot_boot_defaults_on(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SNAPSHOT_BOOT", raising=False)
-        assert env.snapshot_boot() is True
-        monkeypatch.setenv("REPRO_SNAPSHOT_BOOT", "1")
-        assert env.snapshot_boot() is True
-        monkeypatch.setenv("REPRO_SNAPSHOT_BOOT", "0")
-        assert env.snapshot_boot() is False
-        monkeypatch.setenv("REPRO_SNAPSHOT_BOOT", "off")
-        with pytest.raises(env.EnvError, match="REPRO_SNAPSHOT_BOOT"):
-            env.snapshot_boot()
-
 
 class TestCheckEnvironment:
     def test_clean_environment_passes(self, monkeypatch):
         for name in env.KNOWN_KNOBS:
             monkeypatch.delenv(name, raising=False)
+        env.check_environment()
+
+    def test_retired_knobs_are_ignored(self, monkeypatch):
+        # Scripts written for older trees still export the removed
+        # scheduler and boot-snapshot knobs; undeclared names must not
+        # turn into startup errors.
+        for name in env.KNOWN_KNOBS:
+            monkeypatch.delenv(name, raising=False)
+        retired = {"SIM_SCHEDULER": "calendar", "SNAPSHOT_BOOT": "0"}
+        for suffix, value in retired.items():
+            name = f"REPRO_{suffix}"
+            assert name not in env.KNOWN_KNOBS
+            monkeypatch.setenv(name, value)
         env.check_environment()
 
     def test_every_knob_is_swept(self, monkeypatch):

@@ -91,6 +91,44 @@ class TestScheduling:
         assert f"requested t={ns(3)}ps" in message
         assert f"now t={ns(10)}ps" in message
 
+    def test_until_clamp_then_earlier_schedule(self):
+        """After an ``until`` clamp advanced now past the pushed-back
+        head, scheduling before that head must still run in time order."""
+        sim = Simulator()
+        order = []
+        sim.schedule(ns(100), order.append, "late")
+        sim.run(until=ns(10))
+        assert sim.now == ns(10)
+        sim.schedule(ns(5), order.append, "early")
+        sim.run()
+        assert order == ["early", "late"]
+
+    def test_schedule_many_equals_schedule_loop(self):
+        a, b = Simulator(), Simulator()
+        got_a, got_b = [], []
+        for i in range(5):
+            a.schedule(ns(10), got_a.append, i)
+        b.schedule_many(ns(10), got_b.append, [(i,) for i in range(5)])
+        assert a._seq == b._seq
+        a.run()
+        b.run()
+        assert got_a == got_b == [0, 1, 2, 3, 4]
+
+    def test_schedule_many_negative_delay_rejected(self):
+        with pytest.raises(SimulationError):
+            Simulator().schedule_many(-1, print, [()])
+
+    def test_scheduler_stats_exposed(self):
+        sim = Simulator()
+        for i in range(3):
+            sim.schedule(ns(i + 1), lambda: None)
+        sim.run()
+        stats = sim.scheduler_stats
+        assert stats["schedules"] == 3
+        assert stats["executed"] == 3
+        assert stats["peak_depth"] == 3
+        assert stats["pending"] == 0
+
 
 class TestProcesses:
     def test_process_yields_delay(self, sim):
@@ -164,6 +202,55 @@ class TestProcesses:
         ev = sim.event()
         with pytest.raises(SimulationError, match="deadlock"):
             sim.run_until_triggered(ev)
+
+
+class TestUnifiedFailureSurfacing:
+    """``run`` and ``run_until_triggered`` must surface process
+    failures at identical points: a pre-recorded failure raises before
+    any event executes, a mid-run failure right after its event."""
+
+    @staticmethod
+    def _failing_sim():
+        sim = Simulator()
+
+        def bad():
+            yield ns(1)
+            raise ValueError("boom")
+
+        sim.spawn(bad(), name="badproc")
+        return sim
+
+    def test_run_raises_promptly(self):
+        sim = self._failing_sim()
+        ran_after = []
+        sim.schedule(ns(2), ran_after.append, True)
+        with pytest.raises(ProcessError, match="badproc"):
+            sim.run()
+        assert not ran_after
+
+    def test_run_until_triggered_raises_promptly(self):
+        sim = self._failing_sim()
+        ran_after = []
+        sim.schedule(ns(2), ran_after.append, True)
+        with pytest.raises(ProcessError, match="badproc"):
+            sim.run_until_triggered(sim.event())
+        assert not ran_after
+
+    def test_pending_failure_raises_before_events_in_both_loops(self):
+        for runner in ("run", "run_until_triggered"):
+            sim = self._failing_sim()
+            with pytest.raises(ProcessError):
+                sim.run()
+            # Failure consumed; record another and call the other loop.
+            sim._process_failed(ProcessError("stale", RuntimeError("x")))
+            ran = []
+            sim.schedule(ns(5), ran.append, True)
+            with pytest.raises(ProcessError, match="stale"):
+                if runner == "run":
+                    sim.run()
+                else:
+                    sim.run_until_triggered(sim.event())
+            assert not ran
 
 
 class TestRandomStreams:
