@@ -195,3 +195,61 @@ def test_xdma_copies_per_packet_budget(benchmark):
         measure_copies_per_packet, args=("xdma",), rounds=1, iterations=1
     )
     assert counts["read"] <= XDMA_COPIES_PER_PACKET_BUDGET
+
+
+# -- simulator event budgets ----------------------------------------------------
+
+#: Simulator events allowed per operation.  Deterministic counts, like
+#: the copy budgets: the closed-form PCIe link delivers a request's RCB
+#: completions and a DMA write's MWr segments with one event per burst
+#: instead of three per TLP (one 32 KiB block went from 2013 events to
+#: 264, the 1024 B echoes from 226 and 162 to 142 and 83 per packet).
+XDMA_32K_BLOCK_EVENTS_BUDGET = 300
+VIRTIO_1024_EVENTS_PER_PACKET_BUDGET = 150
+XDMA_1024_EVENTS_PER_PACKET_BUDGET = 90
+
+
+def _xdma_block_events(size: int = 32 << 10) -> int:
+    """Events executed by one XDMA ``sys_write`` + checked ``sys_read``
+    of *size* bytes on a booted testbed."""
+    testbed = build_xdma_testbed(seed=0)
+    block = bytes(range(256)) * (size // 256)
+    result = {}
+
+    def app():
+        written = yield from sys_write(testbed.kernel, testbed.driver, block)
+        data = yield from sys_read(testbed.kernel, testbed.driver, len(block))
+        result["ok"] = written == len(block) and data == block
+
+    before = testbed.sim.events_executed
+    process = testbed.sim.spawn(app())
+    testbed.sim.run_until_triggered(process)
+    testbed.sim.run()
+    assert result["ok"]
+    return testbed.sim.events_executed - before
+
+
+@pytest.mark.benchmark(group="events")
+def test_xdma_32k_block_event_budget(benchmark):
+    events = benchmark.pedantic(_xdma_block_events, rounds=1, iterations=1)
+    assert events <= XDMA_32K_BLOCK_EVENTS_BUDGET
+
+
+@pytest.mark.benchmark(group="events")
+def test_virtio_echo_events_per_packet_budget(benchmark):
+    from repro.exec.bench import measure_events_per_packet
+
+    events = benchmark.pedantic(
+        measure_events_per_packet, args=("virtio",), rounds=1, iterations=1
+    )
+    assert events <= VIRTIO_1024_EVENTS_PER_PACKET_BUDGET
+
+
+@pytest.mark.benchmark(group="events")
+def test_xdma_echo_events_per_packet_budget(benchmark):
+    from repro.exec.bench import measure_events_per_packet
+
+    events = benchmark.pedantic(
+        measure_events_per_packet, args=("xdma",), rounds=1, iterations=1
+    )
+    assert events <= XDMA_1024_EVENTS_PER_PACKET_BUDGET

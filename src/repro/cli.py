@@ -60,9 +60,10 @@ parallel perf trajectory::
     virtio-fpga-repro table1 --packets 50000 -j 8
     virtio-fpga-repro bench --packets 2000 --jobs 4   # writes BENCH_<rev>.json
 
-``bench --check`` is the regression gate: it re-measures events/s
-(cpu-score normalized) and the deterministic copies-per-packet counts
-on the committed baseline's workload and exits 1 on regression::
+``bench --check`` is the regression gate: it re-measures packets per
+host second (cpu-score normalized; events/s is printed as a diagnostic)
+and the deterministic copies-per-packet counts on the committed
+baseline's workload and exits 1 on regression::
 
     virtio-fpga-repro bench --check
     virtio-fpga-repro bench --check --baseline BENCH_baseline.json --tolerance 0.15
@@ -340,7 +341,7 @@ def _parser() -> argparse.ArgumentParser:
     gate.add_argument(
         "--check",
         action="store_true",
-        help="regression-gate mode: re-measure events/s and copy counts "
+        help="regression-gate mode: re-measure packets/s and copy counts "
         "on the baseline's workload and fail (exit 1) on regression "
         "beyond --tolerance, instead of writing a new record",
     )
@@ -355,7 +356,7 @@ def _parser() -> argparse.ArgumentParser:
         type=float,
         default=None,
         metavar="F",
-        help="allowed fractional events/s regression for --check, after "
+        help="allowed fractional packets/s regression for --check, after "
         "cpu-score normalization (default: 0.15; copy counts are gated "
         "exactly regardless)",
     )

@@ -198,15 +198,12 @@ class PcieEndpoint(Component):
             return
         if self.tracer.enabled:
             self.trace("mem-read", addr=tlp.addr, length=tlp.length)
-        post = self._post_up
-        if post is None:
-            post = self._post_up = self.link.upstream.post
-        self.sim.schedule_many(
+        # The requester acts only on a request's last completion, so its
+        # RCB splits travel as one burst.
+        self.sim.schedule(
             self.completer_latency,
-            post,
-            [(cpl,) for cpl in split_completion(
-                tlp, data, rcb=self.link.config.read_completion_boundary
-            )],
+            self.link.upstream.post_many,
+            list(split_completion(tlp, data, rcb=self.link.config.read_completion_boundary)),
         )
 
     def _handle_mem_write(self, tlp: Tlp) -> None:
@@ -262,8 +259,19 @@ class PcieEndpoint(Component):
         if post is None:
             post = self._post_up = self.link.upstream.post
         pending = self._pending_reads
-        for req in requests:
+        for i, req in enumerate(requests):
+            if req.tag in pending:
+                # Overwriting a live tag would misroute its completions;
+                # leave no half-issued read behind.
+                outstanding = len(pending)
+                for issued in requests[:i]:
+                    del pending[issued.tag]
+                raise RuntimeError(
+                    f"{self.path}: DMA read tag {req.tag} is still outstanding "
+                    f"({outstanding} read requests in flight)"
+                )
             pending[req.tag] = state
+        for req in requests:
             post(req)
         return done
 

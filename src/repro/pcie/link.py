@@ -16,9 +16,7 @@ Each direction is an independent :class:`LinkDirection` (full duplex).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Deque, Optional
-
-from collections import deque
+from typing import TYPE_CHECKING, Callable, List, Optional, Sequence
 
 from repro.faults.plan import KIND_TLP_CORRUPT, KIND_TLP_DELAY, KIND_TLP_DROP
 from repro.pcie.tlp import Tlp
@@ -111,11 +109,18 @@ DeliverFn = Callable[[Tlp], None]
 
 
 class LinkDirection(Component):
-    """One direction of the full-duplex link.
+    """One direction of the full-duplex link, as a closed-form FIFO.
 
-    TLPs are serialized one at a time in FIFO order; each is delivered to
-    the receiver's callback ``propagation_time`` after its last byte is
-    clocked out.
+    TLPs are serialized one at a time in FIFO order: a TLP enqueued at
+    time ``t`` starts transmitting at ``max(t, free_at)``, where
+    ``free_at`` is when the previous TLP's last byte left, and is
+    delivered to the receiver's callback ``propagation_time`` after its
+    own last byte.  Because the departure of every TLP is fixed the
+    moment it is enqueued, the transmitter needs no events of its own:
+    a single TLP costs one delivery event, and a burst
+    (:meth:`send_many` / :meth:`post_many`) costs one event in total,
+    at the last TLP's arrival time, which then delivers each TLP in
+    order.
     """
 
     def __init__(
@@ -129,8 +134,9 @@ class LinkDirection(Component):
         super().__init__(sim, name, parent=parent)
         self.config = config
         self.deliver = deliver
-        self._queue: Deque[tuple[Tlp, Optional[Event]]] = deque()
-        self._busy = False
+        #: When the transmitter finishes clocking out the last TLP
+        #: enqueued so far (the FIFO's whole state).
+        self._free_at: SimTime = 0
         self._tlps_sent = 0
         self._bytes_sent = 0
         # Hot-path caches: the config is frozen, so serialization times
@@ -141,9 +147,9 @@ class LinkDirection(Component):
         self._prop_time = config.propagation_time
         self._delivered_name = f"{self.path}.delivered"
         # Pre-bound event callbacks: a fresh bound method per scheduled
-        # hop would otherwise be allocated twice per TLP.
-        self._tx_done_cb = self._tx_done
+        # delivery would otherwise be allocated per TLP.
         self._arrive_cb = self._arrive
+        self._arrive_burst_cb = self._arrive_burst
         #: Fault injector (attached by repro.faults; None in normal runs).
         self.injector = None
         #: Shared-uplink arbiter (a PcieSwitch) when this direction sits
@@ -161,10 +167,7 @@ class LinkDirection(Component):
         (fires when the TLP reaches the receiver); posted-write callers
         that do not care may ignore it."""
         delivered = Event(name=self._delivered_name)
-        self._queue.append((tlp, delivered))
-        if not self._busy:
-            self._busy = True
-            self._transmit_next()
+        self._launch(tlp, delivered)
         return delivered
 
     def post(self, tlp: Tlp) -> None:
@@ -172,76 +175,92 @@ class LinkDirection(Component):
         :meth:`send`, but no delivery event is allocated.  For TLPs
         whose delivery nothing ever waits on (completions, MSI writes,
         posted MMIO, read requests tracked by tag)."""
-        self._queue.append((tlp, None))
-        if not self._busy:
-            self._busy = True
-            self._transmit_next()
+        self._launch(tlp, None)
 
-    def send_many(self, tlps) -> Event:
-        """Write-combined enqueue of a TLP burst.
+    def send_many(self, tlps: Sequence[Tlp]) -> Event:
+        """Enqueue a TLP burst; returns the event that fires when its
+        last TLP reaches the receiver.
 
-        Per-TLP timing is identical to looping :meth:`send`; the saving
-        is bookkeeping: only the burst's last TLP carries a delivery
-        event (the returned one, firing when the final TLP reaches the
-        receiver -- the only event multi-TLP transfers ever waited on).
+        Per-TLP timing is identical to looping :meth:`send`, but the
+        whole burst is delivered by one event at the last TLP's arrival
+        time, so the receiver sees every TLP of the burst at that time
+        (in order).  Only for receivers that act on the last TLP alone:
+        the MWr segments of one DMA write.
         """
-        if not tlps:
-            raise ValueError("send_many needs at least one TLP")
         delivered = Event(name=self._delivered_name)
-        queue = self._queue
-        last = len(tlps) - 1
-        for i, tlp in enumerate(tlps):
-            queue.append((tlp, delivered if i == last else None))
-        if not self._busy:
-            self._busy = True
-            self._transmit_next()
+        self._launch_burst(tlps, delivered)
         return delivered
 
-    def _ser_time(self, wire_bytes: int) -> SimTime:
-        time = self._ser_cache.get(wire_bytes)
-        if time is None:
-            time = self.config.serialization_time(wire_bytes)
-            self._ser_cache[wire_bytes] = time
-        return time
+    def post_many(self, tlps: Sequence[Tlp]) -> None:
+        """Fire-and-forget :meth:`send_many` (no delivery event): the
+        RCB-split completions of one read request."""
+        self._launch_burst(tlps, None)
 
-    def _transmit_next(self) -> None:
-        tlp, delivered = self._queue.popleft()
-        # Inline the serialization-time cache: this runs once per TLP.
+    def _depart(self, tlp: Tlp) -> SimTime:
+        """Reserve the transmitter for *tlp*; returns the time its last
+        byte leaves (``max(now, free_at) + serialization``)."""
         wire = tlp.wire_bytes
-        tx_time = self._ser_cache.get(wire)
-        if tx_time is None:
-            tx_time = self.config.serialization_time(wire)
-            self._ser_cache[wire] = tx_time
-        if self.tracer.enabled:
-            self.trace("tlp-tx", tlp=tlp.kind.value, addr=tlp.addr, bytes=wire)
+        ser = self._ser_cache.get(wire)
+        if ser is None:
+            ser = self.config.serialization_time(wire)
+            self._ser_cache[wire] = ser
+        start = self._free_at
+        now = self.sim._now
+        if start < now:
+            start = now
+        self._free_at = depart = start + ser
         self._tlps_sent += 1
         self._bytes_sent += wire
-        # Inlined ``sim.schedule(tx_time, self._tx_done, tlp, delivered)``
-        # -- one of these runs per TLP on the wire.
+        if self.tracer.enabled:
+            self.tracer.emit(start, self.path, "tlp-tx",
+                             tlp=tlp.kind.value, addr=tlp.addr, bytes=wire)
+        return depart
+
+    def _launch(self, tlp: Tlp, delivered: Optional[Event]) -> None:
+        depart = self._depart(tlp)
+        # Inlined ``sim.schedule_at`` -- one of these runs per TLP.
         sim = self.sim
         sim._seq = seq = sim._seq + 1
-        sim._push((sim._now + tx_time, seq, self._tx_done_cb, (tlp, delivered)))
-
-    def _tx_done(self, tlp: Tlp, delivered: Optional[Event]) -> None:
-        # Last byte left the transmitter; arrival after propagation --
-        # unless a switch uplink sits in between (store-and-forward:
-        # the TLP still contends for the shared upstream link).
-        if self.uplink is not None:
-            self.uplink.forward(self, tlp, delivered)
+        if self.uplink is None:
+            sim._push((depart + self._prop_time, seq, self._arrive_cb, (tlp, delivered)))
         else:
-            sim = self.sim
-            sim._seq = seq = sim._seq + 1
-            sim._push((sim._now + self._prop_time, seq, self._arrive_cb, (tlp, delivered)))
-        if self._queue:
-            self._transmit_next()
-        else:
-            self._busy = False
+            # Store-and-forward: at departure the TLP joins the switch's
+            # shared uplink, whose arbiter takes TLPs one at a time.
+            sim._push((depart, seq, self.uplink.forward, (self, tlp, delivered)))
 
-    def _arrive(self, tlp: Tlp, delivered: Optional[Event]) -> None:
+    def _launch_burst(self, tlps: Sequence[Tlp], delivered: Optional[Event]) -> None:
+        if not tlps:
+            raise ValueError("a burst needs at least one TLP")
+        last = len(tlps) - 1
+        if not last or self.uplink is not None:
+            for i, tlp in enumerate(tlps):
+                self._launch(tlp, delivered if i == last else None)
+            return
+        prop = self._prop_time
+        depart = self._depart
+        arrivals = [depart(tlp) + prop for tlp in tlps]
+        sim = self.sim
+        sim._seq = seq = sim._seq + 1
+        sim._push((arrivals[last], seq, self._arrive_burst_cb, (tlps, arrivals, delivered)))
+
+    def _arrive_burst(
+        self, tlps: Sequence[Tlp], arrivals: List[SimTime], delivered: Optional[Event]
+    ) -> None:
+        arrive = self._arrive
+        last = len(tlps) - 1
+        for i, tlp in enumerate(tlps):
+            arrive(tlp, delivered if i == last else None, arrivals[i])
+
+    def _arrive(
+        self, tlp: Tlp, delivered: Optional[Event], at: Optional[SimTime] = None
+    ) -> None:
+        # *at* is the TLP's own arrival time when it is delivered as part
+        # of a burst (which runs at the burst's last arrival).
         if self.injector is not None and self._inject_on_arrival(tlp, delivered):
             return
         if self.tracer.enabled:
-            self.trace("tlp-rx", tlp=tlp.kind.value, addr=tlp.addr)
+            self.tracer.emit(self.sim._now if at is None else at, self.path, "tlp-rx",
+                             tlp=tlp.kind.value, addr=tlp.addr)
         self.deliver(tlp)
         if delivered is not None:
             delivered.trigger(None)
@@ -297,10 +316,6 @@ class LinkDirection(Component):
     @property
     def bytes_sent(self) -> int:
         return self._bytes_sent
-
-    @property
-    def queue_depth(self) -> int:
-        return len(self._queue) + (1 if self._busy else 0)
 
 
 class PcieLink(Component):

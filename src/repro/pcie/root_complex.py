@@ -77,9 +77,9 @@ class RootPort(Component):
         self.port_index = port_index
         self._pending: Dict[int, _HostPendingRead] = {}
         self._pending_nonposted: Dict[int, Event] = {}
-        # ``link.downstream.post``, bound lazily on first DMA read (the
-        # downstream direction attaches when the endpoint is built).
-        self._post_down = None
+        # ``link.downstream.post_many``, bound lazily on first DMA read
+        # (the downstream direction attaches when the endpoint is built).
+        self._post_down_many = None
         link.attach_root_rx(self._receive_upstream)
 
     # -- upstream (device-initiated) ------------------------------------------
@@ -99,15 +99,15 @@ class RootPort(Component):
             if self.tracer.enabled:
                 self.trace("dma-read", addr=tlp.addr, length=tlp.length)
             data = self.rc.host_memory.read(tlp.addr, tlp.length)
-            post = self._post_down
-            if post is None:
-                post = self._post_down = self.link.downstream.post
-            self.sim.schedule_many(
+            post_many = self._post_down_many
+            if post_many is None:
+                post_many = self._post_down_many = self.link.downstream.post_many
+            # The requester acts only on a request's last completion, so
+            # its RCB splits travel as one burst.
+            self.sim.schedule(
                 self.rc.memory_read_latency,
-                post,
-                [(cpl,) for cpl in split_completion(
-                    tlp, data, rcb=self.link.config.read_completion_boundary
-                )],
+                post_many,
+                list(split_completion(tlp, data, rcb=self.link.config.read_completion_boundary)),
             )
         elif kind is TlpKind.COMPLETION or kind is TlpKind.COMPLETION_DATA:
             self._handle_completion(tlp)
@@ -146,6 +146,11 @@ class RootPort(Component):
     def mmio_read(self, addr: int, length: int) -> Event:
         """Non-posted read toward the endpoint; fires with the data."""
         req = memory_read(addr, length, requester="host")
+        if req.tag in self._pending or req.tag in self._pending_nonposted:
+            raise RuntimeError(
+                f"{self.path}: MMIO read tag {req.tag} is still outstanding "
+                f"({len(self._pending) + len(self._pending_nonposted)} requests in flight)"
+            )
         event = Event(name=f"{self.path}.mmio_read")
         state = _HostPendingRead(expected=length, event=event)
         self._pending[req.tag] = state

@@ -162,14 +162,15 @@ class TestParallelCli:
             main(["bench", "--packets", "10", "--payloads", "64", "--jobs", "1"])
 
     def test_bench_check_passes_against_slow_baseline(self, tmp_path, monkeypatch, capsys):
-        # A v1-style baseline with a tiny events/s: any real run clears
-        # the floor, so this exercises the full --check path deterministically.
+        # A v1-style baseline with a tiny packets/s (40 packets in
+        # 1000 s): any real run clears the floor, so this exercises the
+        # full --check path deterministically.
         baseline = tmp_path / "BENCH_baseline.json"
         baseline.write_text(json.dumps({
             "schema": "bench-v1",
             "rev": "slow",
-            "workload": {"packets": 20, "payload_sizes": [64], "seed": 0},
-            "serial": {"events_per_second": 1000.0},
+            "workload": {"packets": 20, "payload_sizes": [64], "seed": 0, "cells": 2},
+            "serial": {"wall_s": 1000.0, "events_per_second": 1000.0},
         }))
         argv = ["bench", "--check", "--baseline", str(baseline)]
         assert main(argv) == 0
@@ -180,8 +181,8 @@ class TestParallelCli:
         baseline.write_text(json.dumps({
             "schema": "bench-v1",
             "rev": "impossible",
-            "workload": {"packets": 20, "payload_sizes": [64], "seed": 0},
-            "serial": {"events_per_second": 1e12},
+            "workload": {"packets": 20, "payload_sizes": [64], "seed": 0, "cells": 2},
+            "serial": {"wall_s": 1e-9, "events_per_second": 1e12},
         }))
         assert main(["bench", "--check", "--baseline", str(baseline)]) == 1
         assert "FAIL" in capsys.readouterr().out

@@ -1,10 +1,11 @@
 """The bench regression gate (``bench --check``).
 
 ``evaluate_check`` is a pure function of two records, so the gate rules
-are tested directly: normalized events/second within tolerance passes,
-beyond tolerance fails, and the deterministic copy-count gate fails on
-any increase.  The copy-count measurement itself is smoke-tested at a
-tiny packet count.
+are tested directly: normalized packets per host second within
+tolerance passes, beyond tolerance fails, events/second is only a
+diagnostic, and the deterministic copy-count gate fails on any
+increase.  The copy-count measurement itself is smoke-tested at a tiny
+packet count.
 """
 
 import pytest
@@ -17,15 +18,24 @@ from repro.exec.bench import (
     measure_copies_per_packet,
 )
 
+#: The committed baseline's workload shape: 4 cells x 400 packets.
+CELLS, PACKETS = 4, 400
 
-def _baseline(eps=100_000.0, score=10_000_000.0, virtio_reads=12.0, xdma_reads=4.0):
+
+def _baseline(wall_s=2.0, events=200_000, score=10_000_000.0, virtio_reads=12.0,
+              xdma_reads=4.0):
     return {
         "schema": "bench-v2",
         "rev": "baseline",
-        "serial": {"events_per_second": eps},
+        "workload": {"cells": CELLS, "packets": PACKETS},
+        "serial": {
+            "wall_s": wall_s,
+            "events": events,
+            "events_per_second": events / wall_s,
+        },
         "micro": {
             "cpu_score": score,
-            "end_to_end": {"events_per_second": eps},
+            "end_to_end": {"wall_s": wall_s, "events_per_second": events / wall_s},
             "copy_counts": {
                 "virtio": {"read": virtio_reads},
                 "xdma": {"read": xdma_reads},
@@ -34,10 +44,16 @@ def _baseline(eps=100_000.0, score=10_000_000.0, virtio_reads=12.0, xdma_reads=4
     }
 
 
-def _current(eps=100_000.0, score=10_000_000.0, virtio_reads=12.0, xdma_reads=4.0):
+def _current(wall_s=2.0, events=200_000, score=10_000_000.0, virtio_reads=12.0,
+             xdma_reads=4.0):
     return {
         "cpu_score": score,
-        "end_to_end": {"events_per_second": eps},
+        "end_to_end": {
+            "packets": CELLS * PACKETS,
+            "wall_s": wall_s,
+            "events": events,
+            "events_per_second": events / wall_s,
+        },
         "copy_counts": {
             "virtio": {"read": virtio_reads},
             "xdma": {"read": xdma_reads},
@@ -48,38 +64,61 @@ def _current(eps=100_000.0, score=10_000_000.0, virtio_reads=12.0, xdma_reads=4.
 def test_identical_measurement_passes():
     ok, failures, details = evaluate_check(_baseline(), _current(), tolerance=0.15)
     assert ok and not failures
-    assert details["events_per_second"]["ratio"] == pytest.approx(1.0)
-    assert details["events_per_second"]["normalized"]
+    assert details["packets_per_second"]["ratio"] == pytest.approx(1.0)
+    assert details["packets_per_second"]["normalized"]
 
 
 def test_small_regression_within_tolerance_passes():
     ok, failures, _ = evaluate_check(
-        _baseline(), _current(eps=90_000.0), tolerance=0.15
+        _baseline(), _current(wall_s=2.2), tolerance=0.15
     )
     assert ok and not failures
 
 
 def test_large_regression_fails():
     ok, failures, details = evaluate_check(
-        _baseline(), _current(eps=80_000.0), tolerance=0.15
+        _baseline(), _current(wall_s=2.5), tolerance=0.15
     )
     assert not ok
-    assert any("events/s regressed" in failure for failure in failures)
-    assert details["events_per_second"]["ratio"] == pytest.approx(0.8)
+    assert any("packets/s regressed" in failure for failure in failures)
+    assert details["packets_per_second"]["ratio"] == pytest.approx(0.8)
+
+
+def test_half_the_events_at_the_same_wall_time_passes():
+    """Fewer simulator events per packet is a gain: events/s halves,
+    packets/s does not move."""
+    ok, failures, details = evaluate_check(
+        _baseline(), _current(events=100_000), tolerance=0.15
+    )
+    assert ok and not failures
+    assert details["packets_per_second"]["ratio"] == pytest.approx(1.0)
+    assert details["events_per_second"]["current"] == pytest.approx(50_000.0)
+    assert details["events_per_packet"] == {
+        "baseline": pytest.approx(125.0), "current": pytest.approx(62.5)
+    }
+
+
+def test_same_events_at_longer_wall_time_fails():
+    ok, failures, details = evaluate_check(
+        _baseline(), _current(wall_s=2.0 * 1.3), tolerance=0.15
+    )
+    assert not ok
+    assert any("packets/s regressed" in failure for failure in failures)
+    assert details["packets_per_second"]["ratio"] == pytest.approx(1 / 1.3)
 
 
 def test_cpu_score_normalization_excuses_a_slow_machine():
-    """Half the machine speed and half the events/s is not a code
+    """Half the machine speed and twice the wall time is not a code
     regression: the normalized ratio is 1.0."""
     ok, failures, details = evaluate_check(
-        _baseline(), _current(eps=50_000.0, score=5_000_000.0), tolerance=0.15
+        _baseline(), _current(wall_s=4.0, score=5_000_000.0), tolerance=0.15
     )
     assert ok and not failures
-    assert details["events_per_second"]["ratio"] == pytest.approx(1.0)
+    assert details["packets_per_second"]["ratio"] == pytest.approx(1.0)
 
 
 def test_faster_machine_cannot_hide_a_regression():
-    """Twice the machine speed with flat events/s IS a regression."""
+    """Twice the machine speed with flat packets/s IS a regression."""
     ok, failures, _ = evaluate_check(
         _baseline(), _current(score=20_000_000.0), tolerance=0.15
     )
@@ -104,11 +143,16 @@ def test_copy_count_decrease_passes():
 def test_v1_baseline_compares_raw():
     """A pre-micro (bench-v1) baseline still gates, unnormalized and
     without the copy-count rule."""
-    baseline = {"schema": "bench-v1", "serial": {"events_per_second": 100_000.0}}
-    ok, _, details = evaluate_check(baseline, _current(eps=90_000.0), tolerance=0.15)
+    baseline = {
+        "schema": "bench-v1",
+        "workload": {"cells": CELLS, "packets": PACKETS},
+        "serial": {"wall_s": 2.0, "events_per_second": 100_000.0},
+    }
+    ok, _, details = evaluate_check(baseline, _current(wall_s=2.2), tolerance=0.15)
     assert ok
-    assert not details["events_per_second"]["normalized"]
-    ok, failures, _ = evaluate_check(baseline, _current(eps=80_000.0), tolerance=0.15)
+    assert not details["packets_per_second"]["normalized"]
+    assert details["events_per_packet"]["baseline"] is None
+    ok, failures, _ = evaluate_check(baseline, _current(wall_s=2.5), tolerance=0.15)
     assert not ok and failures
 
 
@@ -144,7 +188,7 @@ def test_bad_tolerance_rejected():
 
 
 def test_baseline_without_eps_rejected():
-    with pytest.raises(ValueError, match="no serial events/second"):
+    with pytest.raises(ValueError, match="packets/second unknown"):
         evaluate_check({"schema": "bench-v2"}, _current())
 
 

@@ -181,3 +181,49 @@ class TestConfigOps:
             return result
 
         assert run(sim, body()) == CompletionStatus.UNSUPPORTED_REQUEST
+
+
+class TestLiveTagReuse:
+    """A request may not reuse a tag whose completions are still due:
+    the old behaviour overwrote the pending entry and died later with
+    "completion with unknown tag"."""
+
+    def test_oversized_dma_read_fails_at_issue(self):
+        from repro.core.testbed import build_xdma_testbed
+
+        testbed = build_xdma_testbed()
+        endpoint = testbed.xdma.endpoint
+        # 135168 B at MRRS 512 is 264 read requests: 8-bit tags wrap
+        # while the first 256 are still outstanding.
+        with pytest.raises(
+            RuntimeError, match=r"xdma\.ep: DMA read tag \d+ is still outstanding "
+                                r"\(256 read requests in flight\)"
+        ):
+            endpoint.dma_read(0x100000, 135168)
+        # Nothing was half-issued: the model is still usable.
+        assert testbed.sim.pending_events == 0
+        done = endpoint.dma_read(0x100000, 4096)
+        testbed.sim.run()
+        assert len(done.value) == 4096
+
+    def test_largest_dma_read_without_wrap_completes(self, system, run):
+        sim, rc, endpoint = system["sim"], system["rc"], system["endpoint"]
+        data = bytes(i & 0xFF for i in range(256 * 512))
+        rc.host_memory.write(0x100000, data)
+
+        def body():
+            out = yield endpoint.dma_read(0x100000, len(data))
+            return out
+
+        assert run(sim, body()) == data
+
+    def test_mmio_read_tag_reuse_fails_at_issue(self, system):
+        rc = system["rc"]
+        base = system["function"].bars[0].address
+        for _ in range(256):
+            rc.mmio_read(base, 4)
+        with pytest.raises(
+            RuntimeError, match=r"port0: MMIO read tag \d+ is still outstanding "
+                                r"\(256 requests in flight\)"
+        ):
+            rc.mmio_read(base, 4)
