@@ -45,7 +45,9 @@ from repro.pcie.tlp import (
     CompletionStatus,
     Tlp,
     TlpKind,
+    TlpTrain,
     completion_error,
+    completion_train,
     completion_with_data,
     config_read,
     config_write,
@@ -54,6 +56,7 @@ from repro.pcie.tlp import (
     segment_read,
     segment_write,
     split_completion,
+    write_train,
 )
 
 __all__ = [
@@ -82,7 +85,9 @@ __all__ = [
     "RootPort",
     "Tlp",
     "TlpKind",
+    "TlpTrain",
     "completion_error",
+    "completion_train",
     "completion_with_data",
     "config_read",
     "config_write",
@@ -94,4 +99,5 @@ __all__ = [
     "segment_read",
     "segment_write",
     "split_completion",
+    "write_train",
 ]

@@ -11,7 +11,7 @@ device) subclass or compose this with their register blocks.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional, Union
 
 from repro.mem.region import MemoryAccessError, MemoryRegion
 from repro.pcie.config_space import BarDefinition, ConfigSpace
@@ -21,12 +21,13 @@ from repro.pcie.tlp import (
     CompletionStatus,
     Tlp,
     TlpKind,
+    TlpTrain,
     completion_error,
+    completion_train,
     completion_with_data,
     memory_write,
     segment_read,
-    segment_write,
-    split_completion,
+    write_train,
 )
 from repro.sim.component import Component
 from repro.sim.event import Event
@@ -120,7 +121,7 @@ class PcieEndpoint(Component):
 
     # -- downstream TLP handling ----------------------------------------------------
 
-    def _receive(self, tlp: Tlp) -> None:
+    def _receive(self, tlp: Union[Tlp, TlpTrain]) -> None:
         # Dispatch ordered by steady-state frequency (DMA-read
         # completions, then MMIO traffic, then enumeration-time config),
         # with identity compares: TlpKind members are singletons.
@@ -199,11 +200,11 @@ class PcieEndpoint(Component):
         if self.tracer.enabled:
             self.trace("mem-read", addr=tlp.addr, length=tlp.length)
         # The requester acts only on a request's last completion, so its
-        # RCB splits travel as one burst.
+        # RCB splits travel as one train.
         self.sim.schedule(
             self.completer_latency,
-            self.link.upstream.post_many,
-            list(split_completion(tlp, data, rcb=self.link.config.read_completion_boundary)),
+            self.link.upstream.post_train,
+            completion_train(tlp, data, rcb=self.link.config.read_completion_boundary),
         )
 
     def _handle_mem_write(self, tlp: Tlp) -> None:
@@ -237,11 +238,11 @@ class PcieEndpoint(Component):
             self._refresh_config_cache()
         if not self._bus_master:
             raise RuntimeError(f"{self.name!r}: DMA write with bus mastering disabled")
-        tlps = segment_write(addr, data, self.link.config.max_payload, requester=self.path)
-        self._stat_dma_write_tlps += len(tlps)
-        # Write-combined burst: one delivery event for the whole transfer
+        train = write_train(addr, data, self.link.config.max_payload, requester=self.path)
+        self._stat_dma_write_tlps += train.count
+        # Write-combined train: one delivery event for the whole transfer
         # (fires at the last TLP, which is all callers ever waited on).
-        return self.link.upstream.send_many(tlps)
+        return self.link.upstream.send_train(train)
 
     def dma_read(self, addr: int, length: int) -> Event:
         """Read *length* bytes from host memory; event fires with the
@@ -275,7 +276,7 @@ class PcieEndpoint(Component):
             post(req)
         return done
 
-    def _handle_completion(self, tlp: Tlp) -> None:
+    def _handle_completion(self, tlp: Union[Tlp, TlpTrain]) -> None:
         state = self._pending_reads.get(tlp.tag)
         if state is None:
             raise RuntimeError(f"{self.name!r}: completion with unknown tag {tlp.tag}")

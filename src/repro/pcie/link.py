@@ -16,10 +16,10 @@ Each direction is an independent :class:`LinkDirection` (full duplex).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, List, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, List, Optional, Sequence, Union
 
 from repro.faults.plan import KIND_TLP_CORRUPT, KIND_TLP_DELAY, KIND_TLP_DROP
-from repro.pcie.tlp import Tlp
+from repro.pcie.tlp import Tlp, TlpTrain
 from repro.sim.component import Component
 from repro.sim.event import Event
 from repro.sim.time import SimTime, ns
@@ -105,7 +105,8 @@ class LinkConfig:
 PAPER_LINK = LinkConfig(generation=2, lanes=2)
 
 
-DeliverFn = Callable[[Tlp], None]
+#: Receive callback: one TLP, or a whole :class:`TlpTrain` at once.
+DeliverFn = Callable[[Union[Tlp, TlpTrain]], None]
 
 
 class LinkDirection(Component):
@@ -117,10 +118,13 @@ class LinkDirection(Component):
     delivered to the receiver's callback ``propagation_time`` after its
     own last byte.  Because the departure of every TLP is fixed the
     moment it is enqueued, the transmitter needs no events of its own:
-    a single TLP costs one delivery event, and a burst
-    (:meth:`send_many` / :meth:`post_many`) costs one event in total,
-    at the last TLP's arrival time, which then delivers each TLP in
-    order.
+    a single TLP costs one delivery event, and a :class:`TlpTrain`
+    (:meth:`send_train` / :meth:`post_train`) costs one event in total,
+    at its last TLP's arrival time, which hands the receiver the whole
+    train.  Where TLPs are observed one at a time -- an attached fault
+    injector, an enabled tracer, a switch uplink -- the train's TLPs are
+    built and each goes through the per-TLP path (one event at the last
+    arrival delivers them in order; behind a switch, one forward each).
     """
 
     def __init__(
@@ -149,7 +153,8 @@ class LinkDirection(Component):
         # Pre-bound event callbacks: a fresh bound method per scheduled
         # delivery would otherwise be allocated per TLP.
         self._arrive_cb = self._arrive
-        self._arrive_burst_cb = self._arrive_burst
+        self._arrive_train_cb = self._arrive_train
+        self._arrive_tlps_cb = self._arrive_tlps
         #: Fault injector (attached by repro.faults; None in normal runs).
         self.injector = None
         #: Shared-uplink arbiter (a PcieSwitch) when this direction sits
@@ -177,24 +182,23 @@ class LinkDirection(Component):
         posted MMIO, read requests tracked by tag)."""
         self._launch(tlp, None)
 
-    def send_many(self, tlps: Sequence[Tlp]) -> Event:
-        """Enqueue a TLP burst; returns the event that fires when its
+    def send_train(self, train: TlpTrain) -> Event:
+        """Enqueue a TLP train; returns the event that fires when its
         last TLP reaches the receiver.
 
-        Per-TLP timing is identical to looping :meth:`send`, but the
-        whole burst is delivered by one event at the last TLP's arrival
-        time, so the receiver sees every TLP of the burst at that time
-        (in order).  Only for receivers that act on the last TLP alone:
+        Per-TLP timing is identical to sending the train's TLPs one by
+        one, but the receiver gets the whole train at the last TLP's
+        arrival time.  Only for receivers that act on the whole burst:
         the MWr segments of one DMA write.
         """
         delivered = Event(name=self._delivered_name)
-        self._launch_burst(tlps, delivered)
+        self._launch_train(train, delivered)
         return delivered
 
-    def post_many(self, tlps: Sequence[Tlp]) -> None:
-        """Fire-and-forget :meth:`send_many` (no delivery event): the
+    def post_train(self, train: TlpTrain) -> None:
+        """Fire-and-forget :meth:`send_train` (no delivery event): the
         RCB-split completions of one read request."""
-        self._launch_burst(tlps, None)
+        self._launch_train(train, None)
 
     def _depart(self, tlp: Tlp) -> SimTime:
         """Reserve the transmitter for *tlp*; returns the time its last
@@ -228,9 +232,38 @@ class LinkDirection(Component):
             # shared uplink, whose arbiter takes TLPs one at a time.
             sim._push((depart, seq, self.uplink.forward, (self, tlp, delivered)))
 
-    def _launch_burst(self, tlps: Sequence[Tlp], delivered: Optional[Event]) -> None:
-        if not tlps:
-            raise ValueError("a burst needs at least one TLP")
+    def _launch_train(self, train: TlpTrain, delivered: Optional[Event]) -> None:
+        if self.injector is not None or self.uplink is not None or self.tracer.enabled:
+            self._launch_tlps(train.tlps(), delivered)
+            return
+        # The train's departure is its first TLP's transmit start plus
+        # every TLP's own (rounded) serialization time.
+        ser_cache = self._ser_cache
+        ser = 0
+        for wire, count in train.shape:
+            tlp_ser = ser_cache.get(wire)
+            if tlp_ser is None:
+                tlp_ser = ser_cache[wire] = self.config.serialization_time(wire)
+            ser += tlp_ser * count
+        sim = self.sim
+        start = self._free_at
+        now = sim._now
+        if start < now:
+            start = now
+        self._free_at = depart = start + ser
+        self._tlps_sent += train.count
+        self._bytes_sent += train.wire_bytes
+        sim._seq = seq = sim._seq + 1
+        sim._push((depart + self._prop_time, seq, self._arrive_train_cb, (train, delivered)))
+
+    def _arrive_train(self, train: TlpTrain, delivered: Optional[Event]) -> None:
+        self.deliver(train)
+        if delivered is not None:
+            delivered.trigger(None)
+
+    def _launch_tlps(self, tlps: Sequence[Tlp], delivered: Optional[Event]) -> None:
+        """Per-TLP path of a train: same timing, but each TLP is
+        departed, traced, fault-checked and received on its own."""
         last = len(tlps) - 1
         if not last or self.uplink is not None:
             for i, tlp in enumerate(tlps):
@@ -241,9 +274,9 @@ class LinkDirection(Component):
         arrivals = [depart(tlp) + prop for tlp in tlps]
         sim = self.sim
         sim._seq = seq = sim._seq + 1
-        sim._push((arrivals[last], seq, self._arrive_burst_cb, (tlps, arrivals, delivered)))
+        sim._push((arrivals[last], seq, self._arrive_tlps_cb, (tlps, arrivals, delivered)))
 
-    def _arrive_burst(
+    def _arrive_tlps(
         self, tlps: Sequence[Tlp], arrivals: List[SimTime], delivered: Optional[Event]
     ) -> None:
         arrive = self._arrive
@@ -255,7 +288,7 @@ class LinkDirection(Component):
         self, tlp: Tlp, delivered: Optional[Event], at: Optional[SimTime] = None
     ) -> None:
         # *at* is the TLP's own arrival time when it is delivered as part
-        # of a burst (which runs at the burst's last arrival).
+        # of a materialized train (which runs at the last TLP's arrival).
         if self.injector is not None and self._inject_on_arrival(tlp, delivered):
             return
         if self.tracer.enabled:

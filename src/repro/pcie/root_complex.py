@@ -17,7 +17,7 @@ them plus host memory.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple, Union
 
 from repro.mem.physical import PhysicalMemory
 from repro.pcie.link import LinkConfig, PcieLink
@@ -26,11 +26,12 @@ from repro.pcie.tlp import (
     CompletionStatus,
     Tlp,
     TlpKind,
+    TlpTrain,
+    completion_train,
     config_read,
     config_write,
     memory_read,
     memory_write,
-    split_completion,
 )
 from repro.sim.component import Component
 from repro.sim.event import Event
@@ -77,14 +78,14 @@ class RootPort(Component):
         self.port_index = port_index
         self._pending: Dict[int, _HostPendingRead] = {}
         self._pending_nonposted: Dict[int, Event] = {}
-        # ``link.downstream.post_many``, bound lazily on first DMA read
+        # ``link.downstream.post_train``, bound lazily on first DMA read
         # (the downstream direction attaches when the endpoint is built).
-        self._post_down_many = None
+        self._post_down_train = None
         link.attach_root_rx(self._receive_upstream)
 
     # -- upstream (device-initiated) ------------------------------------------
 
-    def _receive_upstream(self, tlp: Tlp) -> None:
+    def _receive_upstream(self, tlp: Union[Tlp, TlpTrain]) -> None:
         kind = tlp.kind
         if kind is TlpKind.MEM_WRITE:
             # Inlined ``is_msi_address``: one masked compare per DMA write.
@@ -99,22 +100,22 @@ class RootPort(Component):
             if self.tracer.enabled:
                 self.trace("dma-read", addr=tlp.addr, length=tlp.length)
             data = self.rc.host_memory.read(tlp.addr, tlp.length)
-            post_many = self._post_down_many
-            if post_many is None:
-                post_many = self._post_down_many = self.link.downstream.post_many
+            post_train = self._post_down_train
+            if post_train is None:
+                post_train = self._post_down_train = self.link.downstream.post_train
             # The requester acts only on a request's last completion, so
-            # its RCB splits travel as one burst.
+            # its RCB splits travel as one train.
             self.sim.schedule(
                 self.rc.memory_read_latency,
-                post_many,
-                list(split_completion(tlp, data, rcb=self.link.config.read_completion_boundary)),
+                post_train,
+                completion_train(tlp, data, rcb=self.link.config.read_completion_boundary),
             )
         elif kind is TlpKind.COMPLETION or kind is TlpKind.COMPLETION_DATA:
             self._handle_completion(tlp)
         else:
             raise RuntimeError(f"root port {self.port_index}: unexpected upstream {tlp!r}")
 
-    def _handle_completion(self, tlp: Tlp) -> None:
+    def _handle_completion(self, tlp: Union[Tlp, TlpTrain]) -> None:
         if tlp.tag in self._pending_nonposted:
             event = self._pending_nonposted.pop(tlp.tag)
             if tlp.kind == TlpKind.COMPLETION_DATA:
@@ -143,14 +144,20 @@ class RootPort(Component):
 
     # -- downstream (host-initiated) ----------------------------------------------
 
+    def _check_tag(self, what: str, tag: int) -> None:
+        """Refuse a non-posted request whose tag still awaits completions:
+        overwriting the pending entry would misroute them and fail later
+        with an unknown completion tag."""
+        if tag in self._pending or tag in self._pending_nonposted:
+            raise RuntimeError(
+                f"{self.path}: {what} tag {tag} is still outstanding "
+                f"({len(self._pending) + len(self._pending_nonposted)} requests in flight)"
+            )
+
     def mmio_read(self, addr: int, length: int) -> Event:
         """Non-posted read toward the endpoint; fires with the data."""
         req = memory_read(addr, length, requester="host")
-        if req.tag in self._pending or req.tag in self._pending_nonposted:
-            raise RuntimeError(
-                f"{self.path}: MMIO read tag {req.tag} is still outstanding "
-                f"({len(self._pending) + len(self._pending_nonposted)} requests in flight)"
-            )
+        self._check_tag("MMIO read", req.tag)
         event = Event(name=f"{self.path}.mmio_read")
         state = _HostPendingRead(expected=length, event=event)
         self._pending[req.tag] = state
@@ -176,6 +183,7 @@ class RootPort(Component):
             return result
         aligned = offset & ~3
         req = config_read(aligned, requester="host")
+        self._check_tag("config read", req.tag)
         event = Event(name=f"{self.path}.cfg_read")
         result = Event(name=f"{self.path}.cfg_read.value")
         self._pending_nonposted[req.tag] = event
@@ -196,6 +204,7 @@ class RootPort(Component):
         aligned = offset & ~3
         if len(data) == 4 and offset == aligned:
             req = config_write(aligned, data, requester="host")
+            self._check_tag("config write", req.tag)
             event = Event(name=f"{self.path}.cfg_write")
             self._pending_nonposted[req.tag] = event
             self.link.post_downstream(req)
@@ -208,6 +217,7 @@ class RootPort(Component):
             shift = offset - aligned
             dword[shift : shift + len(data)] = data
             req = config_write(aligned, bytes(dword), requester="host")
+            self._check_tag("config write", req.tag)
             self._pending_nonposted[req.tag] = result
             self.link.post_downstream(req)
 

@@ -227,3 +227,44 @@ class TestLiveTagReuse:
                                 r"\(256 requests in flight\)"
         ):
             rc.mmio_read(base, 4)
+
+    def test_config_read_tag_reuse_fails_at_issue(self):
+        from repro.core.testbed import build_xdma_testbed
+
+        testbed = build_xdma_testbed()
+        port = testbed.kernel.rc.ports[0]
+        for _ in range(256):
+            port.cfg_read(0, 4)
+        # The 257th read would overwrite a live tag and the run would
+        # later die on an unknown completion tag.
+        with pytest.raises(
+            RuntimeError, match=r"port0: config read tag \d+ is still outstanding "
+                                r"\(256 requests in flight\)"
+        ):
+            port.cfg_read(0, 4)
+
+    def test_config_write_tag_reuse_fails_at_issue(self, system):
+        port = system["port"]
+        for _ in range(256):
+            port.cfg_read(0, 4)
+        with pytest.raises(
+            RuntimeError, match=r"port0: config write tag \d+ is still outstanding "
+                                r"\(256 requests in flight\)"
+        ):
+            port.cfg_write(0x3C, b"\x00\x00\x00\x00")
+
+    def test_sub_dword_config_write_tag_reuse_fails_at_merge(self, system):
+        from repro.pcie.tlp import next_tag
+
+        sim, port = system["sim"], system["port"]
+        port.cfg_write(0x3C, b"\x42")  # read-modify-write: its read goes first
+        for _ in range(255):
+            port.cfg_read(0, 4)
+        next_tag()  # another requester on the shared tag counter
+        # The read half completes first; the write half then draws a tag
+        # that one of the 255 reads still holds.
+        with pytest.raises(
+            RuntimeError, match=r"port0: config write tag \d+ is still outstanding "
+                                r"\(255 requests in flight\)"
+        ):
+            sim.run()
