@@ -161,106 +161,3 @@ def test_max_events_budget_is_exact(benchmark):
         return sim.events_executed
 
     assert benchmark(run_with_budget) == 1000
-
-
-# -- zero-copy data-plane guards ----------------------------------------------
-
-#: Materializing host-memory copies (``PhysicalMemory.read`` calls)
-#: allowed per steady-state echo round trip.  Deterministic counts, not
-#: timings: the zero-copy data plane holds virtio to ~12 (descriptor
-#: table walks dominate; the payload itself is snapshotted once in the
-#: driver RX path) and xdma to 4 (descriptor fetch, C2H pooled
-#: snapshot, chardev read, status readback).  A budget breach means a
-#: copy crept back into a hot path.
-VIRTIO_COPIES_PER_PACKET_BUDGET = 12.5
-XDMA_COPIES_PER_PACKET_BUDGET = 4.25
-
-
-@pytest.mark.benchmark(group="copies")
-def test_virtio_copies_per_packet_budget(benchmark):
-    from repro.exec.bench import measure_copies_per_packet
-
-    counts = benchmark.pedantic(
-        measure_copies_per_packet, args=("virtio",), rounds=1, iterations=1
-    )
-    assert counts["read"] <= VIRTIO_COPIES_PER_PACKET_BUDGET
-    assert counts["read_into"] >= 0  # in-place fills are free of budget
-
-
-@pytest.mark.benchmark(group="copies")
-def test_xdma_copies_per_packet_budget(benchmark):
-    from repro.exec.bench import measure_copies_per_packet
-
-    counts = benchmark.pedantic(
-        measure_copies_per_packet, args=("xdma",), rounds=1, iterations=1
-    )
-    assert counts["read"] <= XDMA_COPIES_PER_PACKET_BUDGET
-
-
-# -- simulator event budgets ----------------------------------------------------
-
-#: Simulator events allowed per operation.  Deterministic counts, like
-#: the copy budgets: the closed-form PCIe link delivers a request's RCB
-#: completions and a DMA write's MWr segments with one event per burst
-#: instead of three per TLP (one 32 KiB block went from 2013 events to
-#: 264, the 1024 B echoes from 226 and 162 to 142 and 83 per packet).
-XDMA_32K_BLOCK_EVENTS_BUDGET = 300
-VIRTIO_1024_EVENTS_PER_PACKET_BUDGET = 150
-XDMA_1024_EVENTS_PER_PACKET_BUDGET = 90
-
-
-def _xdma_block_events(size: int = 32 << 10) -> int:
-    """Events executed by one XDMA ``sys_write`` + checked ``sys_read``
-    of *size* bytes on a booted testbed."""
-    from repro.exec.bench import run_xdma_block
-
-    testbed = build_xdma_testbed(seed=0)
-    before = testbed.sim.events_executed
-    run_xdma_block(testbed, bytes(range(256)) * (size // 256))
-    return testbed.sim.events_executed - before
-
-
-@pytest.mark.benchmark(group="events")
-def test_xdma_32k_block_event_budget(benchmark):
-    events = benchmark.pedantic(_xdma_block_events, rounds=1, iterations=1)
-    assert events <= XDMA_32K_BLOCK_EVENTS_BUDGET
-
-
-@pytest.mark.benchmark(group="events")
-def test_virtio_echo_events_per_packet_budget(benchmark):
-    from repro.exec.bench import measure_events_per_packet
-
-    events = benchmark.pedantic(
-        measure_events_per_packet, args=("virtio",), rounds=1, iterations=1
-    )
-    assert events <= VIRTIO_1024_EVENTS_PER_PACKET_BUDGET
-
-
-@pytest.mark.benchmark(group="events")
-def test_xdma_echo_events_per_packet_budget(benchmark):
-    from repro.exec.bench import measure_events_per_packet
-
-    events = benchmark.pedantic(
-        measure_events_per_packet, args=("xdma",), rounds=1, iterations=1
-    )
-    assert events <= XDMA_1024_EVENTS_PER_PACKET_BUDGET
-
-
-# -- PCIe-layer call budget -------------------------------------------------------
-
-#: ``repro.pcie`` Python calls allowed for one 32 KiB XDMA write plus
-#: read-back (``exec.bench.measure_pcie_calls_per_block``; counted by a
-#: profile hook, so deterministic).  TLP trains carry each DMA burst as
-#: one object and charge per-TLP framing arithmetically: the count went
-#: from 4624 (one ``Tlp`` per MPS segment and RCB split) to 1155; the
-#: budget is that plus a small margin.  A breach means per-TLP Python
-#: work crept back into the data path.
-XDMA_32K_BLOCK_PCIE_CALLS_BUDGET = 1200
-
-
-@pytest.mark.benchmark(group="calls")
-def test_xdma_32k_block_pcie_call_budget(benchmark):
-    from repro.exec.bench import measure_pcie_calls_per_block
-
-    calls = benchmark.pedantic(measure_pcie_calls_per_block, rounds=1, iterations=1)
-    assert calls <= XDMA_32K_BLOCK_PCIE_CALLS_BUDGET

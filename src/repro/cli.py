@@ -54,19 +54,14 @@ or virtio-mmio transport, with a trap-time column in the breakdown::
 
 Every artifact runs through the cell engine; ``--jobs/-j`` fans it out
 over a process pool (bit-identical output for any worker count, and an
-unset ``--jobs`` is ``-j 1``), and ``bench`` records the serial vs
-parallel perf trajectory::
+unset ``--jobs`` is ``-j 1``)::
 
     virtio-fpga-repro table1 --packets 50000 -j 8
-    virtio-fpga-repro bench --packets 2000 --jobs 4   # writes BENCH_<rev>.json
 
-``bench --check`` is the regression gate: it re-measures packets per
-host second (cpu-score normalized; events/s is printed as a diagnostic)
-and the deterministic copies-per-packet counts on the committed
-baseline's workload and exits 1 on regression::
-
-    virtio-fpga-repro bench --check
-    virtio-fpga-repro bench --check --baseline BENCH_baseline.json --tolerance 0.15
+Wall-clock performance is measured by the repository benchmark
+(``python3 perfbench/run.py``); the simulator's exact per-layer counts
+are printed by ``python -m repro.exec.bench`` and gated against
+``tests/exec/count_budget.json`` in the test suite.
 
 ``--cache`` turns on the content-addressed result cache: cells whose
 (kind, spec, seed, code fingerprint) already have a stored outcome are
@@ -83,9 +78,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
-from typing import List, Optional
+from typing import Any, Callable, List, Optional
 
 from repro.core.calibration import PAPER_PAYLOAD_SIZES
 from repro.core.experiments import (
@@ -119,7 +115,6 @@ ARTIFACTS = {
     "overload": True,
     "fleetsweep": True,
     "guestsweep": True,
-    "bench": True,
     "all": False,
 }
 
@@ -128,15 +123,28 @@ ARTIFACTS = {
 JSON_ARTIFACTS = tuple(name for name, has_json in ARTIFACTS.items() if has_json)
 
 
-def _jobs(text: str) -> int:
-    """``--jobs`` value: a worker count of at least 1."""
-    try:
-        jobs = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if jobs < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {jobs}")
-    return jobs
+def _bounded(kind: Callable[[str], Any], valid: Callable[[Any], bool], requirement: str):
+    """An argparse ``type``: parse with *kind*, reject values that fail
+    *valid* with "must be *requirement*"."""
+
+    def parse(text: str) -> Any:
+        try:
+            value = kind(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"invalid {kind.__name__} value: {text!r}"
+            ) from None
+        if not valid(value):
+            raise argparse.ArgumentTypeError(f"must be {requirement}, got {text}")
+        return value
+
+    return parse
+
+
+_positive_int = _bounded(int, lambda n: n >= 1, ">= 1")
+_non_negative_int = _bounded(int, lambda n: n >= 0, ">= 0")
+_positive_float = _bounded(float, lambda x: math.isfinite(x) and x > 0, "a finite number > 0")
+_probability = _bounded(float, lambda p: 0.0 <= p <= 1.0, "a probability in [0, 1]")
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -156,37 +164,34 @@ def _parser() -> argparse.ArgumentParser:
         "reliability sweep, beyond the paper; overload: overload-protection "
         "sweep/soak with conservation audit, beyond the paper; fleetsweep: "
         "E-M1 multi-tenant fleet topology sweep, beyond the paper; "
-        "guestsweep: E-V1 guest-mode latency comparison, beyond the paper; "
-        "bench: time a serial vs parallel reproduction and write "
-        "BENCH_<rev>.json)",
+        "guestsweep: E-V1 guest-mode latency comparison, beyond the paper)",
     )
     parser.add_argument(
         "--packets",
-        type=int,
+        type=_positive_int,
         default=None,
         help="packets per payload size, or per load point for loadsweep "
         "(default: REPRO_PACKETS env, 2000 for paper artifacts, 400 for "
         "loadsweep; the paper used 50000)",
     )
-    parser.add_argument("--seed", type=int, default=0, help="simulation seed")
+    parser.add_argument("--seed", type=_non_negative_int, default=0, help="simulation seed")
     parser.add_argument(
         "--jobs",
         "-j",
-        type=_jobs,
+        type=_positive_int,
         default=None,
         metavar="N",
         help="fan the run out over N worker processes (output is "
-        "bit-identical for any N; default: 1, in-process; bench default: "
-        "all CPUs)",
+        "bit-identical for any N; default: 1, in-process)",
     )
     parser.add_argument(
         "--payloads",
-        type=int,
+        type=_positive_int,
         nargs="+",
         default=None,
         help="payload sizes in bytes (default: the paper's sweep; for "
         "loadsweep one size is fixed traffic, several are an empirical mix; "
-        "loadsweep default: 64)",
+        "loadsweep default: 64; faultsweep and fleetsweep take one size)",
     )
     parser.add_argument(
         "--json",
@@ -197,7 +202,7 @@ def _parser() -> argparse.ArgumentParser:
     sweep = parser.add_argument_group("loadsweep options")
     sweep.add_argument(
         "--rate",
-        type=float,
+        type=_positive_float,
         nargs="+",
         default=None,
         metavar="PPS",
@@ -206,7 +211,7 @@ def _parser() -> argparse.ArgumentParser:
     )
     sweep.add_argument(
         "--outstanding",
-        type=int,
+        type=_positive_int,
         nargs="+",
         default=None,
         metavar="N",
@@ -223,7 +228,7 @@ def _parser() -> argparse.ArgumentParser:
     faults = parser.add_argument_group("faultsweep options")
     faults.add_argument(
         "--fault-rates",
-        type=float,
+        type=_probability,
         nargs="+",
         default=None,
         metavar="P",
@@ -241,7 +246,7 @@ def _parser() -> argparse.ArgumentParser:
     )
     faults.add_argument(
         "--every",
-        type=int,
+        type=_positive_int,
         default=25,
         metavar="N",
         help="reset scenario: corrupt every N-th TX descriptor-chain "
@@ -256,7 +261,7 @@ def _parser() -> argparse.ArgumentParser:
     )
     over.add_argument(
         "--multipliers",
-        type=float,
+        type=_positive_float,
         nargs="+",
         default=None,
         metavar="M",
@@ -266,7 +271,7 @@ def _parser() -> argparse.ArgumentParser:
     )
     over.add_argument(
         "--fault-rate",
-        type=float,
+        type=_probability,
         default=None,
         metavar="P",
         help="per-opportunity fault probability layered on top of the "
@@ -275,7 +280,7 @@ def _parser() -> argparse.ArgumentParser:
     fleet = parser.add_argument_group("fleetsweep options")
     fleet.add_argument(
         "--pods",
-        type=int,
+        type=_positive_int,
         default=4,
         metavar="N",
         help="independent fleet pods, one cell each (default: 4; a pod is "
@@ -284,7 +289,7 @@ def _parser() -> argparse.ArgumentParser:
     )
     fleet.add_argument(
         "--tenants",
-        type=int,
+        type=_positive_int,
         default=16,
         metavar="N",
         help="tenant flows per pod, assigned round-robin across the pod's "
@@ -292,21 +297,21 @@ def _parser() -> argparse.ArgumentParser:
     )
     fleet.add_argument(
         "--queue-pairs",
-        type=int,
+        type=_positive_int,
         default=2,
         metavar="N",
         help="TX/RX virtqueue pairs per function (default: 2)",
     )
     fleet.add_argument(
         "--vfs",
-        type=int,
+        type=_positive_int,
         default=2,
         metavar="N",
         help="virtual functions on each pod's SR-IOV device (default: 2)",
     )
     fleet.add_argument(
         "--tenant-rate",
-        type=float,
+        type=_positive_float,
         default=None,
         metavar="PPS",
         help="offered rate per tenant in packets/s (default: 4000)",
@@ -336,38 +341,6 @@ def _parser() -> argparse.ArgumentParser:
         "pci (the paper's path, per-queue MSI-X) or mmio (the 4.2 flat "
         "register block with one shared interrupt line; virtio driver "
         "only) (default: pci)",
-    )
-    gate = parser.add_argument_group("bench options")
-    gate.add_argument(
-        "--check",
-        action="store_true",
-        help="regression-gate mode: re-measure packets/s and copy counts "
-        "on the baseline's workload and fail (exit 1) on regression "
-        "beyond --tolerance, instead of writing a new record",
-    )
-    gate.add_argument(
-        "--baseline",
-        default=None,
-        metavar="PATH",
-        help="baseline record for --check (default: BENCH_baseline.json)",
-    )
-    gate.add_argument(
-        "--tolerance",
-        type=float,
-        default=None,
-        metavar="F",
-        help="allowed fractional packets/s regression for --check, after "
-        "cpu-score normalization (default: 0.15; copy counts are gated "
-        "exactly regardless)",
-    )
-    gate.add_argument(
-        "--profile",
-        action="store_true",
-        dest="profile_hot",
-        help="run the serial bench leg under cProfile and write the "
-        "top-30 cumulative table next to the record as "
-        "BENCH_<rev>.profile.txt (record mode only; the profiled wall "
-        "is not baseline material)",
     )
     cachegrp = parser.add_argument_group("result cache options")
     cachegrp.add_argument(
@@ -416,34 +389,11 @@ def main(argv: Optional[List[str]] = None) -> int:
             f"--json is not supported for {args.artifact!r} "
             f"(supported: {', '.join(JSON_ARTIFACTS)})"
         )
-    if args.rate and any(r <= 0 for r in args.rate):
-        parser.error("--rate values must be positive (packets/s)")
-    if args.outstanding and any(n <= 0 for n in args.outstanding):
-        parser.error("--outstanding values must be positive")
-    if args.fault_rates and any(not 0.0 <= p <= 1.0 for p in args.fault_rates):
-        parser.error("--fault-rates values must be probabilities in [0, 1]")
-    if args.every <= 0:
-        parser.error("--every must be positive")
-    if args.multipliers and any(m <= 0 for m in args.multipliers):
-        parser.error("--multipliers values must be positive")
-    if args.fault_rate is not None and not 0.0 <= args.fault_rate <= 1.0:
-        parser.error("--fault-rate must be a probability in [0, 1]")
-    if args.pods < 1:
-        parser.error("--pods must be >= 1")
-    if args.tenants < 1:
-        parser.error("--tenants must be >= 1")
-    if args.queue_pairs < 1:
-        parser.error("--queue-pairs must be >= 1")
-    if args.vfs < 1:
-        parser.error("--vfs must be >= 1")
-    if args.tenant_rate is not None and args.tenant_rate <= 0:
-        parser.error("--tenant-rate must be positive (packets/s)")
-    if args.check and args.artifact != "bench":
-        parser.error("--check is a bench option")
-    if args.profile_hot and (args.artifact != "bench" or args.check):
-        parser.error("--profile is a bench record-mode option")
-    if args.tolerance is not None and not 0.0 < args.tolerance < 1.0:
-        parser.error("--tolerance must be a fraction in (0, 1)")
+    if args.artifact in ("faultsweep", "fleetsweep") and len(args.payloads or ()) > 1:
+        parser.error(
+            f"{args.artifact} runs one payload size, got --payloads "
+            + " ".join(map(str, args.payloads))
+        )
     if args.cache and args.no_cache:
         parser.error("--cache and --no-cache are mutually exclusive")
 
@@ -456,54 +406,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     jobs = args.jobs or 1
 
     started = time.time()
-    if args.artifact == "bench" and args.check:
-        from repro.exec.bench import (
-            DEFAULT_BASELINE,
-            DEFAULT_TOLERANCE,
-            render_check,
-            run_check,
-        )
-
-        baseline = args.baseline if args.baseline is not None else DEFAULT_BASELINE
-        tolerance = args.tolerance if args.tolerance is not None else DEFAULT_TOLERANCE
-        try:
-            ok, report = run_check(
-                baseline_path=baseline, tolerance=tolerance,
-                packets=args.packets, seed=args.seed if args.seed != 0 else None,
-            )
-        except FileNotFoundError:
-            parser.error(f"baseline record not found: {baseline}")
-        if args.json:
-            _emit_json(report)
-        else:
-            print(render_check(report))
-        print(
-            f"\n[bench --check vs {baseline}, {time.time() - started:.1f}s]",
-            file=sys.stderr,
-        )
-        return 0 if ok else 1
-    if args.artifact == "bench":
-        import os
-
-        from repro.exec.bench import render_bench, run_bench
-
-        jobs = args.jobs or os.cpu_count() or 2
-        if jobs < 2:
-            parser.error("bench compares serial vs parallel; use --jobs >= 2")
-        packets = args.packets if args.packets is not None else default_packets()
-        payloads = (
-            args.payloads if args.payloads is not None else list(PAPER_PAYLOAD_SIZES)
-        )
-        record, path = run_bench(
-            packets=packets, jobs=jobs, payload_sizes=payloads, seed=args.seed,
-            profile_hot=args.profile_hot,
-        )
-        if args.json:
-            _emit_json(record)
-        else:
-            print(render_bench(record))
-        print(f"\n[bench record written to {path}]", file=sys.stderr)
-        return 0 if record["parallel_matches_serial"] else 1
     if args.artifact == "loadsweep":
         packets = args.packets if args.packets is not None else default_packets(400)
         payloads = args.payloads if args.payloads is not None else [64]

@@ -51,9 +51,9 @@ def run_virtio_sweep(
     """The VirtIO side of the evaluation."""
     from repro.exec import execute_sweep
 
-    sweep, _ = execute_sweep(
-        "virtio", payload_sizes, packets or default_packets(), seed, profile, jobs
-    )
+    if packets is None:
+        packets = default_packets()
+    sweep, _ = execute_sweep("virtio", payload_sizes, packets, seed, profile, jobs)
     return sweep
 
 
@@ -67,9 +67,9 @@ def run_xdma_sweep(
     """The XDMA side of the evaluation."""
     from repro.exec import execute_sweep
 
-    sweep, _ = execute_sweep(
-        "xdma", payload_sizes, packets or default_packets(), seed, profile, jobs
-    )
+    if packets is None:
+        packets = default_packets()
+    sweep, _ = execute_sweep("xdma", payload_sizes, packets, seed, profile, jobs)
     return sweep
 
 
@@ -87,9 +87,9 @@ def run_comparison(
     """
     from repro.exec import execute_comparison
 
-    comparison, _ = execute_comparison(
-        payload_sizes, packets or default_packets(), seed, profile, jobs
-    )
+    if packets is None:
+        packets = default_packets()
+    comparison, _ = execute_comparison(payload_sizes, packets, seed, profile, jobs)
     return comparison
 
 
@@ -193,8 +193,10 @@ def run_load_sweep(
     """
     from repro.exec import execute_load_sweep
 
+    if packets is None:
+        packets = default_packets(400)
     results, _ = execute_load_sweep(
-        drivers=drivers, packets=packets or default_packets(400), seed=seed,
+        drivers=drivers, packets=packets, seed=seed,
         profile=profile, rates=rates, outstanding=outstanding, arrival=arrival,
         payload_sizes=payload_sizes, jobs=jobs,
     )

@@ -135,65 +135,61 @@ class TestParallelCli:
         with pytest.raises(SystemExit):
             main(["table1", "--packets", "10", "--payloads", "64", "--jobs", "0"])
 
-    def test_bench_writes_record(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.chdir(tmp_path)
-        argv = ["bench", "--packets", "40", "--payloads", "64", "--jobs", "2"]
-        assert main(argv) == 0
-        files = list(tmp_path.glob("BENCH_*.json"))
-        assert len(files) == 1
-        record = json.loads(files[0].read_text())
-        assert record["schema"] == "bench-v2"
-        assert record["parallel_matches_serial"] is True
-        assert record["micro"]["copy_counts"]["virtio"]["read"] > 0
-        assert record["micro"]["cpu_score"] > 0
-        assert record["speedup"] > 0
-        assert record["serial"]["events"] == record["parallel"]["events"]
-        assert "speedup" in capsys.readouterr().out
-
-    def test_bench_json_output(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.chdir(tmp_path)
-        argv = ["bench", "--packets", "30", "--payloads", "64", "-j", "2", "--json"]
-        assert main(argv) == 0
-        doc = json.loads(capsys.readouterr().out)
-        assert doc["workload"]["packets"] == 30
-
-    def test_bench_requires_two_jobs(self):
-        with pytest.raises(SystemExit):
-            main(["bench", "--packets", "10", "--payloads", "64", "--jobs", "1"])
-
-    def test_bench_check_passes_against_slow_baseline(self, tmp_path, monkeypatch, capsys):
-        # A v1-style baseline with a tiny packets/s (40 packets in
-        # 1000 s): any real run clears the floor, so this exercises the
-        # full --check path deterministically.
-        baseline = tmp_path / "BENCH_baseline.json"
-        baseline.write_text(json.dumps({
-            "schema": "bench-v1",
-            "rev": "slow",
-            "workload": {"packets": 20, "payload_sizes": [64], "seed": 0, "cells": 2},
-            "serial": {"wall_s": 1000.0, "events_per_second": 1000.0},
-        }))
-        argv = ["bench", "--check", "--baseline", str(baseline)]
-        assert main(argv) == 0
-        assert "PASS" in capsys.readouterr().out
-
-    def test_bench_check_fails_against_impossible_baseline(self, tmp_path, capsys):
-        baseline = tmp_path / "BENCH_baseline.json"
-        baseline.write_text(json.dumps({
-            "schema": "bench-v1",
-            "rev": "impossible",
-            "workload": {"packets": 20, "payload_sizes": [64], "seed": 0, "cells": 2},
-            "serial": {"wall_s": 1e-9, "events_per_second": 1e12},
-        }))
-        assert main(["bench", "--check", "--baseline", str(baseline)]) == 1
-        assert "FAIL" in capsys.readouterr().out
-
-    def test_bench_check_missing_baseline_errors(self, tmp_path):
-        with pytest.raises(SystemExit):
-            main(["bench", "--check", "--baseline", str(tmp_path / "nope.json")])
-
     def test_check_rejected_outside_bench(self):
         with pytest.raises(SystemExit):
             main(["table1", "--check"])
+
+    def test_bench_artifact_retired(self, capsys):
+        """Wall-clock benchmarking lives in perfbench; the exact counts in
+        ``python -m repro.exec.bench``.  The CLI has no bench surface."""
+        for argv in (["bench"], ["table1", "--baseline", "x.json"],
+                     ["table1", "--tolerance", "0.1"], ["table1", "--profile"]):
+            with pytest.raises(SystemExit):
+                main(argv)
+        capsys.readouterr()
+
+
+class TestArgumentTypes:
+    """Every numeric option is range-checked by its argparse type, so a
+    bad value is a usage error before any work, never a silent default
+    or a traceback from inside the simulator."""
+
+    @pytest.mark.parametrize("argv", [
+        ["table1", "--packets", "0"],
+        ["table1", "--packets", "-5"],
+        ["table1", "--packets", "many"],
+        ["table1", "--payloads", "0"],
+        ["table1", "--payloads", "-64"],
+        ["table1", "--seed", "-1"],
+        ["table1", "--jobs", "0"],
+        ["fleetsweep", "--pods", "0"],
+        ["fleetsweep", "--tenants", "0"],
+        ["fleetsweep", "--queue-pairs", "0"],
+        ["fleetsweep", "--vfs", "-1"],
+        ["fleetsweep", "--tenant-rate", "0"],
+        ["fleetsweep", "--tenant-rate", "inf"],
+        ["faultsweep", "--every", "0"],
+        ["faultsweep", "--fault-rates", "0", "1.5"],
+        ["faultsweep", "--fault-rates", "-0.1"],
+        ["faultsweep", "--fault-rates", "nan"],
+        ["loadsweep", "--outstanding", "1", "0"],
+        ["loadsweep", "--rate", "-100"],
+        ["loadsweep", "--rate", "nan"],
+        ["overload", "--multipliers", "0"],
+        ["overload", "--fault-rate", "2"],
+    ], ids=lambda argv: " ".join(argv))
+    def test_bad_value_is_a_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert argv[1] in capsys.readouterr().err
+
+    @pytest.mark.parametrize("artifact", ["faultsweep", "fleetsweep"])
+    def test_single_payload_artifacts_reject_extra_payloads(self, artifact, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([artifact, "--payloads", "64", "1024"])
+        assert exc.value.code == 2
+        assert "one payload size" in capsys.readouterr().err
 
 
 GUESTSWEEP_FAST = [

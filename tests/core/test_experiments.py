@@ -10,10 +10,13 @@ from repro.core.experiments import (
     default_packets,
     figure4,
     figure5,
+    run_comparison,
     run_load_sweep,
     run_virtio_sweep,
     run_xdma_sweep,
 )
+from repro.faults.experiments import run_fault_sweep, run_reset_recovery
+from repro.workload.generator import WorkloadError
 from repro.core.latency import run_latency_sweep, run_virtio_payload, run_xdma_payload
 from repro.core.testbed import build_virtio_testbed, build_xdma_testbed
 
@@ -151,3 +154,19 @@ class TestDefaultPackets:
         with pytest.raises(ValueError) as excinfo:
             default_packets()
         assert "REPRO_PACKETS" in str(excinfo.value)
+
+    @pytest.mark.parametrize("run", [
+        lambda: run_virtio_sweep(payload_sizes=[64], packets=0),
+        lambda: run_xdma_sweep(payload_sizes=[64], packets=0),
+        lambda: run_comparison(payload_sizes=[64], packets=0),
+        lambda: run_load_sweep(packets=0, rates=[5000.0]),
+        lambda: run_fault_sweep(rates=(0.0,), packets=0),
+        lambda: run_reset_recovery(packets=0),
+    ], ids=["virtio", "xdma", "comparison", "loadsweep", "faultsweep", "reset"])
+    def test_explicit_zero_is_not_the_default(self, run, monkeypatch):
+        """``packets=0`` is an error, not "use the default": only None
+        falls back (to a tiny ``REPRO_PACKETS`` here, so a fallback
+        would run quickly and pass without raising)."""
+        monkeypatch.setenv("REPRO_PACKETS", "3")
+        with pytest.raises((ValueError, WorkloadError), match="packets must be positive"):
+            run()
